@@ -32,8 +32,8 @@ only the gate-bearing benchmarks (:data:`GATE_BENCHMARKS` — the ≥5×
 incremental-index gate, the ≥3× formula-IR gate, the budgeted-pricing/
 sampling gate, the snapshot-isolation overhead/throughput gate, the
 sharded-service scatter-throughput/worker-GC gate, the ≥5×/≥10×
-columnar-matching/mmap-load gate and the ≥5× journal-patched streaming
-columnar gate) in smoke mode
+columnar-matching/mmap-load gate, the ≥5× journal-patched streaming
+columnar gate and the ≥10× in-place-update scaling gate) in smoke mode
 (``REPRO_BENCH_SMOKE=1`` shrinks sizes/iterations), writes to
 ``BENCH_gates.json`` by default (so the full ``BENCH_summary.json`` is never
 clobbered by a subset), and exits nonzero when any gate regresses.
@@ -68,6 +68,7 @@ GATE_BENCHMARKS = (
     "bench_service",
     "bench_columnar",
     "bench_columnar_incremental",
+    "bench_inplace_update",
 )
 
 

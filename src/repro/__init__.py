@@ -70,7 +70,7 @@ from repro.updates.operations import (
     ProbabilisticUpdate,
     apply_to_datatree,
 )
-from repro.updates.probtree_updates import apply_update_to_probtree
+from repro.updates.probtree_updates import apply_update_in_place, apply_update_to_probtree
 from repro.updates.pw_updates import apply_update_to_pwset
 from repro.variants.formula_probtree import FormulaProbTree
 from repro.baselines.pw_engine import PossibleWorldsEngine
@@ -147,6 +147,7 @@ __all__ = [
     "Deletion",
     "ProbabilisticUpdate",
     "apply_to_datatree",
+    "apply_update_in_place",
     "apply_update_to_probtree",
     "apply_update_to_pwset",
     # snapshots, transactions, fault injection

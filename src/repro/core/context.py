@@ -196,6 +196,8 @@ class ContextStats:
         "pool_gc_runs",
         "pool_nodes_swept",
         "pool_restarts",
+        "updates_in_place",
+        "updates_copied",
     )
 
     def __init__(self) -> None:
@@ -229,6 +231,8 @@ class ContextStats:
         self.pool_gc_runs = 0            # formula-pool mark-and-sweep passes
         self.pool_nodes_swept = 0        # interned nodes reclaimed by GC
         self.pool_restarts = 0           # wholesale formula-layer restarts
+        self.updates_in_place = 0        # updates rewriting the live prob-tree
+        self.updates_copied = 0          # updates rewriting a copy (functional path)
 
     def as_dict(self) -> Dict[str, int]:
         return {name: getattr(self, name) for name in self.__slots__}
@@ -688,10 +692,12 @@ class ExecutionContext:
         """Pin *probtree* at its current ``(tree.version, state_version)``.
 
         Returns a :class:`~repro.core.snapshot.Snapshot` whose ``probtree``
-        keeps answering for the pinned stamp while writers proceed — pipeline
-        updates replace objects (the pin just keeps the old version alive),
-        and in-place mutators preserve the pinned state copy-on-write.  Use
-        as a context manager (or call ``release()``) when done::
+        keeps answering for the pinned stamp while writers proceed — a
+        warehouse update on a pinned document takes the copy path (the pin
+        just keeps the old version alive), and direct in-place mutators
+        preserve the pinned state copy-on-write.  A pin arriving during a
+        warehouse's in-place write waits for that write to commit or roll
+        back.  Use as a context manager (or call ``release()``) when done::
 
             with context.read_snapshot(document) as snap:
                 answers = evaluate_on_probtree(query, snap.probtree,
@@ -707,8 +713,10 @@ class ExecutionContext:
         from repro.core.snapshot import pin
 
         state = self._state
+        # Pinned outside the context lock: a pin may wait for an in-place
+        # write to commit, and that writer needs the context lock.
+        handle = pin(probtree, retention=None, stats=state.stats)
         with state.lock:
-            handle = pin(probtree, retention=None, stats=state.stats)
             tracked = state.active_snapshots
             tracked.append(handle)
             # Prune released handles lazily — only once the tracked list
@@ -728,9 +736,13 @@ class ExecutionContext:
         """The context-scoped :class:`ProbabilityEngine` of *probtree*.
 
         One engine (and thus one Shannon-expansion cache) per prob-tree per
-        mode, shared across every question this context answers.  Changing
-        the prob-tree's distribution (adding or re-weighting events) hands
-        out a fresh engine, exactly like the module-level
+        mode, shared across every question this context answers.  When the
+        prob-tree's distribution has grown by a *conservative extension*
+        (events added, none re-weighted — what an in-place update does),
+        the engine is extended in place and keeps its memo; any other change
+        (a re-weighted or removed event, e.g. a rolled-back ``add_event``
+        the engine had already been extended over) hands out a fresh
+        engine, exactly like the module-level
         :func:`~repro.core.probability.engine_for`.
         """
         mode = self.resolve_engine(engine)
@@ -738,9 +750,12 @@ class ExecutionContext:
             self._state.restart_formula_layer_if_oversized()
             per_tree = self._state.engines.setdefault(probtree, {})
             cached = per_tree.get(mode)
-            if cached is None or cached.distribution != probtree.distribution:
+            distribution = probtree.distribution
+            if cached is None or not (
+                cached.distribution is distribution or cached.extend_to(distribution)
+            ):
                 cached = ProbabilityEngine(
-                    probtree.distribution,
+                    distribution,
                     mode=mode,
                     stats=self._state.stats,
                     pool=self._state.formula_pool,
@@ -955,10 +970,12 @@ class ExecutionContext:
         reprice any answer — but purely structural/label mutations are
         resolved against the tree's mutation journal: only the entries
         whose label fingerprints (or cached answer nodes, for relabels)
-        intersect the mutated labels are dropped.  Replacing the prob-tree
-        object, as updates do, keys a separate shard that dies with it —
-        see :meth:`migrate_answers` for how updates carry unaffected
-        entries across the replacement.  Shards are LRU bounded by
+        intersect the mutated labels are dropped.  In-place updates restamp
+        the shard past their own condition changes
+        (:meth:`retire_answers_in_place`).  Replacing the prob-tree object,
+        as copy-path updates do, keys a separate shard that dies with it —
+        see :meth:`migrate_answers` for how those carry unaffected entries
+        across the replacement.  Shards are LRU bounded by
         ``max_cached_answers`` (evictions counted in
         :attr:`ContextStats.evictions`).
 
@@ -1027,8 +1044,9 @@ class ExecutionContext:
     ) -> int:
         """Carry still-valid cached answers from *source* to *target*.
 
-        Updates and cleaning *replace* the prob-tree (and its data tree), so
-        without help the context would start both documents' caches cold.
+        Copy-path updates and cleaning *replace* the prob-tree (and its data
+        tree), so without help the context would start both documents'
+        caches cold.
         When the replacement preserves surviving node identifiers, labels
         and conditions — true for probabilistic insertions/deletions and for
         :func:`~repro.core.cleaning.clean`, NOT for threshold re-encoding —
@@ -1100,6 +1118,44 @@ class ExecutionContext:
             state.stats.answers_migrated += moved
             return moved
 
+    def retire_answers_in_place(
+        self,
+        probtree: ProbTree,
+        before: Tuple[int, int],
+        touched_labels: Iterable[str],
+    ) -> int:
+        """Carry *probtree*'s cached answers across its own in-place update.
+
+        The in-place twin of :meth:`migrate_answers`: *before* is the
+        ``(tree.version, state_version)`` stamp the update started from and
+        *touched_labels* the labels it mutated.  Shards still stamped
+        *before* keep every entry whose label fingerprint is disjoint from
+        the touched labels — the same soundness argument as migration:
+        surviving nodes keep their ids, labels and conditions, and the
+        distribution only gained a fresh event — and are restamped to the
+        current version; everything else in them is dropped.  Shards at any
+        other stamp are left to the usual stamp checks.  Returns the number
+        of entries kept; :attr:`ContextStats.answers_migrated` accumulates
+        it.
+        """
+        state = self._state
+        tree = probtree.tree
+        touch = (frozenset(touched_labels), frozenset())
+        kept = 0
+        with state.lock:
+            nodesets = state.answer_cache.get(tree)
+            if nodesets is not None and nodesets.stamp == before[0]:
+                self._retire(nodesets, touch)
+                nodesets.stamp = tree.version
+                kept += len(nodesets.entries)
+            answers = state.probtree_answers.get(probtree)
+            if answers is not None and answers.stamp == before:
+                self._retire(answers, touch)
+                answers.stamp = (tree.version, probtree.state_version)
+                kept += len(answers.entries)
+            state.stats.answers_migrated += kept
+        return kept
+
     def migrate_formulas(self, source: ProbTree, target: ProbTree) -> int:
         """Carry memoized formula prices from *source*'s engines to *target*'s.
 
@@ -1136,11 +1192,7 @@ class ExecutionContext:
                     # event since the engine was cut (engine_for would hand
                     # out a fresh engine next time, but the stale one still
                     # sits in the registry).
-                    engine_distribution = engine.distribution
-                    if engine_distribution != target_distribution and any(
-                        target_distribution.get(event) != probability
-                        for event, probability in engine_distribution.as_dict().items()
-                    ):
+                    if not target_distribution.extends(engine.distribution):
                         continue
                     fire("context.migrate_formulas")
                     moved += self.engine_for(target, mode).absorb(engine)

@@ -25,6 +25,7 @@ from repro.core.cleaning import clean
 from repro.core.context import ExecutionContext, resolve_context
 from repro.core.probtree import ProbTree
 from repro.core.semantics import possible_worlds
+from repro.core.snapshot import exclusive_write
 from repro.dtd.dtd import DTD
 from repro.dtd.probtree_dtd import (
     dtd_satisfaction_probability,
@@ -45,8 +46,12 @@ from repro.queries.evaluation import (
 from repro.queries.path import parse_path
 from repro.threshold.threshold import most_probable_worlds, threshold_probtree
 from repro.trees.datatree import DataTree
+from repro.trees.index import cached_index, tree_index
 from repro.updates.operations import Deletion, Insertion, ProbabilisticUpdate
-from repro.updates.probtree_updates import apply_update_to_probtree
+from repro.updates.probtree_updates import (
+    apply_update_in_place,
+    apply_update_to_probtree,
+)
 from repro.utils.errors import ProbXMLError, QueryError
 
 QuerySpec = Union[str, Query]
@@ -152,15 +157,21 @@ class ProbXMLWarehouse:
     **Isolation.**  ``isolation="snapshot"`` (default) gives readers MVCC
     snapshot isolation: every read pins the document's current
     ``(tree.version, state_version)`` through the context's snapshot layer
-    and evaluates against that immutable version, so in-flight queries on
-    other threads finish on a consistent document while a writer commits —
-    writers are serialized among themselves, readers never block.  Every
-    read observes some *committed* version (updates build the new prob-tree
-    off to the side and swap it in atomically).  ``isolation="lock"`` is the
-    global-lock oracle: one reentrant lock serializes every read and write;
-    the threaded differential harness asserts snapshot mode is
-    read-equivalent to it, version by version.  :meth:`read_snapshot` hands
-    out long-lived pins for multi-query consistency.
+    and evaluates against that version, so in-flight queries on other
+    threads finish on a consistent document while a writer commits —
+    writers are serialized among themselves.  Every read observes some
+    *committed* version.  Updates rewrite the live document in place, in
+    O(Δ), whenever no reader holds a pin on it; a read that arrives during
+    such a write waits for that one write to commit or roll back.  While a
+    reader *is* pinned, the writer instead copies the document, rewrites
+    the copy and swaps it in, so pinned readers never wait and the O(n)
+    copy is paid only under concurrent reads.  The pins decide; there is
+    no option.  ``isolation="lock"`` is the global-lock oracle: one
+    reentrant lock serializes every read and write, and updates always
+    rewrite in place; the threaded differential harness asserts snapshot
+    mode is read-equivalent to it, version by version.
+    :meth:`read_snapshot` hands out long-lived pins for multi-query
+    consistency.
     """
 
     def __init__(
@@ -213,7 +224,9 @@ class ProbXMLWarehouse:
 
         Accepts a prob-tree, a data tree (wrapped as certain), an XML string
         (``<probtree>`` or plain ``<node>`` markup, parsed), or a bare label
-        (a one-node certain document).  Raises a typed
+        (a one-node certain document).  Prob-trees and data trees are
+        stored as given, not copied, and updates rewrite them in place:
+        pass a ``.copy()`` to keep the original.  Raises a typed
         :class:`~repro.utils.errors.ProbXMLError` on duplicate names — the
         sharded router relies on name→shard stability, so silent replacement
         is never the default; pass ``replace=True`` (or :meth:`drop` first)
@@ -346,8 +359,10 @@ class ProbXMLWarehouse:
         Includes the formula-IR counters: ``intern_hits`` /
         ``intern_misses`` (formula-pool probes that found vs allocated a
         node — a warm corpus shows hits dwarfing misses) and
-        ``formulas_migrated`` (memoized prices carried across
-        update/clean prob-tree replacements).
+        ``formulas_migrated`` (memoized prices carried across copy-path
+        update/clean prob-tree replacements), and the write-path counters
+        ``updates_in_place`` / ``updates_copied`` (which path :meth:`apply`
+        took).
         """
         return self._context.stats
 
@@ -572,18 +587,45 @@ class ProbXMLWarehouse:
     def apply(self, update: ProbabilisticUpdate, name: Optional[str] = None) -> None:
         """Apply an already-built probabilistic update to one document.
 
-        The document's prob-tree is *replaced* (updates return a fresh tree
-        object), which is what keeps the context's answer-set cache honest:
-        post-update queries can never be served pre-update answers.  Cached
-        answers of queries whose label fingerprints the update cannot touch
-        are migrated to the new prob-tree, so a warm update/query loop only
-        recomputes what actually changed.
+        The update rewrites the document's prob-tree **in place**
+        (:func:`~repro.updates.probtree_updates.apply_update_in_place`) inside
+        one transaction, at a cost that follows matches × subtree size
+        rather than the document size.  The structural index and columnar
+        snapshot then patch forward from the mutation journal, the
+        probability engine keeps its memo, and cached answers whose label
+        fingerprints the update cannot touch stay valid; a failed update
+        rolls back with no visible effect.
+
+        In snapshot mode the in-place write happens only while no reader
+        holds a pin on the document (:func:`repro.core.snapshot.exclusive_write`);
+        when one does, the update goes through the copy path instead
+        (:func:`~repro.updates.probtree_updates.apply_update_to_probtree`)
+        and the new prob-tree replaces the old one, which the pinned reader
+        keeps.  Lock mode always rewrites in place.  ``updates_in_place`` /
+        ``updates_copied`` in :attr:`stats` count which path each update
+        took.
         """
         with self._write():
             resolved = self._resolve_name(name)
-            self._documents[resolved] = apply_update_to_probtree(
-                self._documents[resolved], update, context=self._context
-            )
+            probtree = self._documents[resolved]
+            if self._isolation == "lock":
+                apply_update_in_place(probtree, update, context=self._context)
+                return
+            with exclusive_write(probtree) as claimed:
+                if claimed:
+                    apply_update_in_place(probtree, update, context=self._context)
+                    # Snapshot readers may evaluate outside every lock: patch
+                    # the shared index now, while no reader can hold the
+                    # document, rather than let two readers patch it at once.
+                    cached_index(probtree.tree)
+                    return
+            updated = apply_update_to_probtree(probtree, update, context=self._context)
+            if cached_index(probtree.tree) is not None:
+                # Index the copy before readers see it, so the next in-place
+                # write on it holds arriving readers off for O(Δ), not for a
+                # cold index build.
+                tree_index(updated.tree)
+            self._documents[resolved] = updated
 
     # -- maintenance -------------------------------------------------------------------
 

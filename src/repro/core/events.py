@@ -31,6 +31,13 @@ class ProbabilityDistribution:
                 cleaned[str(event)] = _check_probability(event, probability)
         self._probabilities = cleaned
 
+    @staticmethod
+    def _trusted(probabilities: Dict[str, float]) -> "ProbabilityDistribution":
+        """Wrap an already-validated map (taken over, not copied)."""
+        distribution = ProbabilityDistribution.__new__(ProbabilityDistribution)
+        distribution._probabilities = probabilities
+        return distribution
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -71,29 +78,45 @@ class ProbabilityDistribution:
 
     # -- derivation --------------------------------------------------------
 
+    # Derivations validate only the entries they add: every inherited
+    # probability was checked when it entered its first distribution.
+
     def with_event(self, event: str, probability: float) -> "ProbabilityDistribution":
         """A new distribution with *event* added (or re-assigned)."""
         updated = dict(self._probabilities)
         updated[str(event)] = _check_probability(event, probability)
-        return ProbabilityDistribution(updated)
+        return ProbabilityDistribution._trusted(updated)
 
     def with_events(self, probabilities: Mapping[str, float]) -> "ProbabilityDistribution":
         """A new distribution extended with every entry of *probabilities*."""
         updated = dict(self._probabilities)
         for event, probability in probabilities.items():
             updated[str(event)] = _check_probability(event, probability)
-        return ProbabilityDistribution(updated)
+        return ProbabilityDistribution._trusted(updated)
 
     def without_event(self, event: str) -> "ProbabilityDistribution":
         updated = dict(self._probabilities)
         updated.pop(event, None)
-        return ProbabilityDistribution(updated)
+        return ProbabilityDistribution._trusted(updated)
 
     def restricted_to(self, events: Iterable[str]) -> "ProbabilityDistribution":
         keep = set(events)
-        return ProbabilityDistribution(
+        return ProbabilityDistribution._trusted(
             {event: p for event, p in self._probabilities.items() if event in keep}
         )
+
+    def extends(self, other: "ProbabilityDistribution") -> bool:
+        """Whether this is a *conservative extension* of *other*.
+
+        True when every event of *other* is present here with an unchanged
+        probability: every price computed under *other* is then still exact
+        under this distribution, since such a formula cannot mention the
+        added events.
+        """
+        mine = self._probabilities
+        if len(mine) < len(other._probabilities):
+            return False
+        return all(mine.get(event) == p for event, p in other._probabilities.items())
 
     # -- semantics helpers ---------------------------------------------------
 

@@ -122,9 +122,9 @@ class ProbabilityEngine:
         self._cutoff = enumeration_cutoff
         self._pool = pool if pool is not None else FormulaPool(stats=stats)
         self._policy = policy if policy is not None else PricingPolicy()
-        # Shannon memo keyed by interned node id, valid for exactly this
-        # distribution (engine_for hands out a fresh engine when the
-        # distribution changes; migrate via absorb() when it merely grows).
+        # Shannon memo keyed by interned node id, valid for this distribution
+        # and its conservative extensions (extend_to() re-targets in place;
+        # absorb() carries prices into another engine).
         self._formula_cache: Dict[int, float] = {}
         self._condition_cache: Dict[Condition, float] = {}
         # Optional ContextStats-like sink (duck-typed: only needs a mutable
@@ -302,6 +302,22 @@ class ProbabilityEngine:
             if node in remap
         }
 
+    def extend_to(self, distribution: ProbabilityDistribution) -> bool:
+        """Re-target this engine to *distribution*, keeping every memo.
+
+        Succeeds (returns ``True``) exactly when *distribution* is a
+        conservative extension of the engine's own — events added, none
+        re-weighted or removed — so every memoized price stays exact, as
+        no memoized formula can mention the added events.  Returns
+        ``False`` and changes nothing otherwise; the caller then needs a
+        fresh engine.
+        """
+        if not distribution.extends(self._distribution):
+            return False
+        self._distribution = distribution
+        self._distribution_map = distribution.as_dict()
+        return True
+
     def absorb(self, other: "ProbabilityEngine") -> int:
         """Copy *other*'s memoized prices into this engine's tables.
 
@@ -346,9 +362,10 @@ def engine_for(probtree: ProbTree, mode: str = "formula") -> ProbabilityEngine:
     """The shared :class:`ProbabilityEngine` of *probtree* for *mode*.
 
     Successive calls on the same prob-tree return the same engine — and thus
-    share its memoization caches — as long as the distribution has not
-    changed (adding or re-weighting events invalidates cached values, so a
-    fresh engine is handed out then).
+    share its memoization caches — as long as the distribution only grows
+    (an added event is folded into the engine in place; re-weighting or
+    removing an event invalidates cached values, so a fresh engine is handed
+    out then).
 
     The registry lives on the module default
     :class:`~repro.core.context.ExecutionContext`, so ad-hoc callers and the

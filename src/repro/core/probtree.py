@@ -132,7 +132,12 @@ class ProbTree:
                 self._conditions.pop(node, None)
                 return
             raise InvalidConditionError("the root of a prob-tree cannot carry a condition")
-        unknown = condition.events() - self._distribution.events()
+        distribution = self._distribution
+        unknown = {
+            literal.event
+            for literal in condition.literals
+            if literal.event not in distribution
+        }
         if unknown:
             raise InvalidConditionError(
                 f"condition mentions events not in W: {sorted(unknown)}"
@@ -248,9 +253,9 @@ class ProbTree:
 
         Returns a :class:`repro.core.snapshot.Snapshot` handle whose
         ``probtree`` property keeps answering for the pinned
-        ``(tree.version, state_version)`` stamp: in-place mutations trigger a
-        copy-on-write preserve of the pinned state, and pipeline updates
-        produce new objects anyway.  At most
+        ``(tree.version, state_version)`` stamp: direct in-place mutations
+        trigger a copy-on-write preserve of the pinned state, and warehouse
+        updates leave a pinned document alone (they write a copy).  At most
         :data:`repro.core.snapshot.SNAPSHOT_RETENTION` distinct versions stay
         pinned per prob-tree — beyond that the oldest pins are retired and
         raise :class:`~repro.utils.errors.SnapshotRetiredError` on access.
@@ -308,8 +313,21 @@ class ProbTree:
     # -- copies --------------------------------------------------------------
 
     def copy(self) -> "ProbTree":
-        """Deep copy (the distribution is shared: it is immutable)."""
-        return ProbTree(self._tree.copy(), self._distribution, dict(self._conditions))
+        """Deep copy preserving node ids and ``state_version``.
+
+        The distribution is shared (it is immutable) and the conditions are
+        copied without re-validation: they were checked against this very
+        distribution when they were set.  The copy carries no undo scope and
+        no snapshot pins.
+        """
+        clone = ProbTree.__new__(ProbTree)
+        clone._tree = self._tree.copy()
+        clone._distribution = self._distribution
+        clone._conditions = dict(self._conditions)
+        clone._state_version = self._state_version
+        clone._undo = None
+        clone._snapshot_pins = None
+        return clone
 
     def with_distribution(self, distribution: ProbabilityDistribution) -> "ProbTree":
         """Same tree and conditions, different probability assignment.

@@ -1,39 +1,49 @@
 """Copy-on-write snapshot pinning for prob-trees (MVCC reads).
 
 A :class:`Snapshot` pins one immutable ``(tree.version, state_version)`` view
-of a :class:`~repro.core.probtree.ProbTree`.  Two mechanisms keep the view
+of a :class:`~repro.core.probtree.ProbTree`.  Three mechanisms keep the view
 stable while writers proceed:
 
-* **New-object updates** (the normal pipeline:
-  :func:`~repro.updates.probtree_updates.apply_update_to_probtree`,
-  ``ProbXMLWarehouse.apply``) never mutate the old prob-tree at all — a pin
+* **The pin/writer handshake.**  ``ProbXMLWarehouse.apply`` rewrites the
+  live document in place, but only inside :func:`exclusive_write`: under
+  the module lock it checks the document's live pins.  Unpinned, the
+  document is marked write-busy and rewritten in place; a :func:`pin` that
+  arrives meanwhile waits for that one O(Δ) write to commit or roll back,
+  so no reader ever holds a half-rewritten document.  Pinned, the writer
+  is told to take the copy path instead.
+* **New-object updates** (the copy path:
+  :func:`~repro.updates.probtree_updates.apply_update_to_probtree`, and
+  ``clean``/``prune_below``) never mutate the old prob-tree at all — a pin
   simply keeps the superseded object alive, which costs nothing until the
-  last pin is released.
-* **In-place mutations** (``set_label``/``add_child``/``set_condition``/...)
-  call the tree's ``_notify_write`` hook *before* touching anything; when
-  pins exist at the current stamp, the hook deep-copies the prob-tree once
-  and parks the frozen copy on every such pin (copy-on-write: all pins at
-  one stamp share one preserved copy).
+  last pin is released.  Readers never wait on this path; the O(n) copy
+  is paid only while reads are in flight.
+* **Direct in-place mutations** (``set_label``/``add_child``/
+  ``set_condition``/...) call the tree's ``_notify_write`` hook *before*
+  touching anything; when pins exist at the current stamp, the hook copies
+  the prob-tree once and parks the frozen copy on every such pin
+  (copy-on-write: all pins at one stamp share one preserved copy).
 
 Retention is bounded: :func:`pin` retires the oldest pins of a prob-tree
 past :data:`SNAPSHOT_RETENTION` distinct handles, and
 ``ExecutionContext.read_snapshot`` additionally bounds live handles across a
-whole session (covering version *chains* produced by pipeline updates, where
-every pinned version is a different object).  A retired or released handle
-raises :class:`~repro.utils.errors.SnapshotRetiredError` on access, so
-readers learn their consistency guarantee is gone instead of silently racing.
+whole session (covering version *chains* produced by copy-path updates,
+where every pinned version is a different object).  A retired or released
+handle raises :class:`~repro.utils.errors.SnapshotRetiredError` on access,
+so readers learn their consistency guarantee is gone instead of silently
+racing.
 
-Thread model: pin/release/retire and the copy-on-write preserve run under one
-module lock, so concurrent readers may pin while a pipeline writer commits.
-In-place mutation of a prob-tree that other threads are *reading live* (not
-through pins) is not made safe by this module — concurrent writers must go
-through the update pipeline, which mutates only private copies.
+Thread model: pin/release/retire, the copy-on-write preserve and the
+write-busy mark run under one module lock.  A thread that mutates a
+prob-tree other threads read *live* (not through pins) must hold a lock of
+its own; readers that pin are safe against any writer that goes through
+:func:`exclusive_write` or the copy path.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Optional, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.core.probtree import ProbTree
 from repro.utils.errors import SnapshotRetiredError
@@ -45,17 +55,64 @@ SNAPSHOT_RETENTION = 8
 
 _LOCK = threading.RLock()
 
+#: Signalled (under :data:`_LOCK`) whenever an exclusive write ends.
+_WRITE_DONE = threading.Condition(_LOCK)
 
-def _freeze(probtree: ProbTree) -> ProbTree:
-    """A deep, never-shared copy preserving node ids and version stamps."""
-    clone = ProbTree.__new__(ProbTree)
-    clone._tree = probtree._tree.copy()
-    clone._distribution = probtree._distribution
-    clone._conditions = dict(probtree._conditions)
-    clone._state_version = probtree._state_version
-    clone._undo = None
-    clone._snapshot_pins = None
-    return clone
+#: ``id(probtree)`` -> thread ident of the writer rewriting it in place.
+_WRITING: Dict[int, int] = {}
+
+#: ``id(probtree)`` -> number of :func:`pin` calls waiting for that write.
+_WAITING: Dict[int, int] = {}
+
+
+def _await_writer(key: int, me: int) -> None:
+    """Block (holding :data:`_LOCK`) until no other thread writes *key* in place."""
+    while _WRITING.get(key, me) != me:
+        _WAITING[key] = _WAITING.get(key, 0) + 1
+        try:
+            _WRITE_DONE.wait()
+        finally:
+            remaining = _WAITING[key] - 1
+            if remaining:
+                _WAITING[key] = remaining
+            else:
+                del _WAITING[key]
+
+
+@contextmanager
+def exclusive_write(probtree: ProbTree) -> Iterator[bool]:
+    """Claim *probtree* for one in-place write, unless it is pinned.
+
+    Yields ``True`` when no live pin holds the prob-tree: it is then marked
+    write-busy until the block exits (commit or rollback alike), and every
+    :func:`pin` on it from another thread waits for that.  Yields ``False``
+    when a reader holds a pin, or is still waiting to pin after the previous
+    in-place write (so back-to-back writes cannot starve readers): the
+    caller must then leave the object untouched and write a copy instead.
+    The check and the mark are one step under the module lock, so no pin
+    can slip in between them.  A concurrent in-place write on the same
+    object (two warehouses sharing it) is waited out first, as in
+    :func:`pin`.
+    """
+    key = id(probtree)
+    me = threading.get_ident()
+    with _LOCK:
+        _await_writer(key, me)  # another thread's in-place write on it
+        pins = probtree._snapshot_pins
+        if (pins is not None and pins.handles) or key in _WAITING or key in _WRITING:
+            claimed = False
+        else:
+            _WRITING[key] = me
+            claimed = True
+    if not claimed:
+        yield False
+        return
+    try:
+        yield True
+    finally:
+        with _LOCK:
+            del _WRITING[key]
+            _WRITE_DONE.notify_all()
 
 
 class _PinSet:
@@ -89,7 +146,7 @@ class _PinSet:
             ]
             if not needy:
                 return
-            frozen = _freeze(probtree)
+            frozen = probtree.copy()
             for handle in needy:
                 handle._frozen = frozen
 
@@ -230,6 +287,9 @@ def pin(probtree: ProbTree, retention: Optional[int] = None, stats=None) -> Snap
     across documents.
     """
     with _LOCK:
+        # Wait out an in-place write on another thread: the pin must see a
+        # committed (or rolled-back) version, never a half-rewritten one.
+        _await_writer(id(probtree), threading.get_ident())
         pins = probtree._snapshot_pins
         if pins is None:
             pins = _PinSet(probtree)
@@ -245,4 +305,4 @@ def pin(probtree: ProbTree, retention: Optional[int] = None, stats=None) -> Snap
         return handle
 
 
-__all__ = ["Snapshot", "SNAPSHOT_RETENTION", "pin"]
+__all__ = ["Snapshot", "SNAPSHOT_RETENTION", "exclusive_write", "pin"]

@@ -9,9 +9,10 @@ counters and the ``next_id`` allocator **byte-identical** to the begin mark —
 no externally visible effect, as if the scope never ran.
 
 This is the commit discipline of the update pipeline
-(:func:`~repro.updates.probtree_updates.apply_update_to_probtree` wraps the
-mutation phase of every operation in one), but it is equally usable for
-hand-rolled in-place edits::
+(:func:`~repro.updates.probtree_updates.apply_update_in_place` wraps the
+mutation phase of every operation in one, on the live prob-tree or on the
+functional path's copy), but it is equally usable for hand-rolled in-place
+edits::
 
     with transaction(probtree):
         node = probtree.add_child(parent, "reading", condition)

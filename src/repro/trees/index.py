@@ -146,8 +146,10 @@ class TreeIndex:
         Replay is sequential: after applying entry *i*, the index mirrors
         exactly the tree as it stood after mutation *i*, which is what makes
         each entry's bookkeeping local — an ``add_child`` inserts one rank
-        and shifts the preorder suffix, a ``delete_subtree`` drops one
-        contiguous rank interval, a ``set_label`` moves one posting.  The
+        and shifts the preorder suffix (a run of them grafting one subtree
+        inserts one rank block and shifts the suffix once), a
+        ``delete_subtree`` drops one contiguous rank interval, a
+        ``set_label`` moves one posting.  The
         patched index is structurally identical to a fresh rebuild (the
         incremental-index differential harness asserts exactly that).
 
@@ -204,30 +206,46 @@ class TreeIndex:
                     hi = mid
             return lo
 
-        for op, node, payload in entries:
-            fire("index.patch")
+        position, count = 0, len(entries)
+        while position < count:
+            op, node, payload = entries[position]
             if op == "add_child":
-                parent, label = payload
-                rank = last[parent] + 1
-                # Suffix shift: everything at or after the insertion point
-                # moves one rank right; ancestors grow their intervals.
+                # A run of appends that grafts one subtree in preorder (each
+                # parent on the run's rightmost path, as ``add_subtree`` and
+                # well-formed bulk specs journal it) lands as one contiguous
+                # rank block: one suffix shift for the run, not one per node.
+                stop = _graft_run_end(entries, position)
+                block = entries[position:stop]
+                for _ in block:
+                    fire("index.patch")
+                base = payload[0]
+                size = len(block)
+                rank = last[base] + 1
                 for moved in order[rank:]:
-                    pre[moved] += 1
-                    last[moved] += 1
-                walk = parent
+                    pre[moved] += size
+                    last[moved] += size
+                walk = base
                 while walk is not None:
-                    last[walk] += 1
+                    last[walk] += size
                     walk = parent_of[walk]
-                order.insert(rank, node)
-                pre[node] = rank
-                last[node] = rank
-                depth[node] = depth[parent] + 1
-                parent_of[node] = parent
-                label_of[node] = label
-                lst = posting(label)
-                lst.insert(rank_position(lst, rank), node)
-                children_by_label.pop(parent, None)
-            elif op == "set_label":
+                order[rank:rank] = [entry[1] for entry in block]
+                for offset, (_op, added, (parent, label)) in enumerate(block):
+                    pre[added] = last[added] = rank + offset
+                    depth[added] = depth[parent] + 1
+                    parent_of[added] = parent
+                    label_of[added] = label
+                    lst = posting(label)
+                    lst.insert(rank_position(lst, rank + offset), added)
+                    children_by_label.pop(parent, None)
+                # Close the new intervals bottom-up (reverse preorder).
+                for _op, added, (parent, _label) in reversed(block):
+                    if parent != base and last[parent] < last[added]:
+                        last[parent] = last[added]
+                position = stop
+                continue
+            fire("index.patch")
+            position += 1
+            if op == "set_label":
                 old, new = payload
                 if old == new:
                     continue
@@ -382,6 +400,36 @@ class TreeIndex:
         )
 
 
+def _graft_run_end(entries, start: int) -> int:
+    """End (exclusive) of the contiguous-graft run of ``add_child`` entries at *start*.
+
+    Sequential replay appends each node as the last child of its parent,
+    at the rank right after the parent's current subtree.  That rank is the
+    end of the run so far exactly when the parent lies on the run's
+    rightmost path — the first entry's parent, or a node of the run whose
+    subtree the run is still inside — so such a run occupies consecutive
+    ranks.  The run stops at the first entry breaking that.
+    """
+    base = entries[start][2][0]
+    path = [base]
+    depth_on_path = {base: 0}
+    stop = start
+    while stop < len(entries):
+        op, node, payload = entries[stop]
+        if op != "add_child":
+            break
+        level = depth_on_path.get(payload[0])
+        if level is None:
+            break
+        for closed in path[level + 1 :]:
+            del depth_on_path[closed]
+        del path[level + 1 :]
+        depth_on_path[node] = len(path)
+        path.append(node)
+        stop += 1
+    return stop
+
+
 def tree_index(tree: DataTree) -> TreeIndex:
     """The shared :class:`TreeIndex` of *tree*, patched or rebuilt when stale.
 
@@ -403,4 +451,15 @@ def tree_index(tree: DataTree) -> TreeIndex:
     return index
 
 
-__all__ = ["TreeIndex", "tree_index", "PATCH_JOURNAL_LIMIT"]
+def cached_index(tree: DataTree) -> Optional[TreeIndex]:
+    """*tree*'s cached index brought up to date, or ``None`` when it has none.
+
+    Like :func:`tree_index`, but never builds a cold index: for writers
+    that keep an index current only where queries already use one.
+    """
+    if tree._index_cache is None:
+        return None
+    return tree_index(tree)
+
+
+__all__ = ["TreeIndex", "cached_index", "tree_index", "PATCH_JOURNAL_LIMIT"]

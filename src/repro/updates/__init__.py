@@ -21,7 +21,7 @@ from repro.updates.operations import (
     apply_to_datatree,
 )
 from repro.updates.pw_updates import apply_update_to_pwset
-from repro.updates.probtree_updates import apply_update_to_probtree
+from repro.updates.probtree_updates import apply_update_in_place, apply_update_to_probtree
 from repro.updates.disjoint import chain_negation, disjoint_negation
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "ProbabilisticUpdate",
     "apply_to_datatree",
     "apply_update_to_pwset",
+    "apply_update_in_place",
     "apply_update_to_probtree",
     "chain_negation",
     "disjoint_negation",

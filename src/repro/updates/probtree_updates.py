@@ -20,6 +20,15 @@ descendant conditions.  Targeted nodes are processed bottom-up so nested
 targets compose correctly.  The number of copies — hence the output size —
 may be exponential; Theorem 3 shows no equivalent prob-tree can avoid this.
 
+There is one rewrite and two ways to run it.  :func:`apply_update_in_place`
+rewrites the given prob-tree itself in O(Δ) — matches × subtree size — and
+keeps every cache keyed by it warm; it is what ``ProbXMLWarehouse.apply``
+runs.  :func:`apply_update_to_probtree` is the functional form — a
+:meth:`~repro.core.probtree.ProbTree.copy` plus the same rewrite on the copy
+— kept as the slow oracle the differential harness compares against, and
+as the path for callers that need the input untouched (the warehouse's
+copy path under pinned readers).
+
 The consistency property ``⟦(τ,c)(T)⟧ ∼ (τ,c)(⟦T⟧)`` is exercised by the
 test suite against :mod:`repro.updates.pw_updates` on enumerable instances.
 """
@@ -35,7 +44,6 @@ from repro.formulas.dnf import DNF
 from repro.formulas.literals import Condition, Literal
 from repro.queries.base import Match
 from repro.trees.datatree import DataTree, NodeId
-from repro.trees.index import tree_index
 from repro.updates.disjoint import disjoint_negation
 from repro.updates.operations import (
     Deletion,
@@ -47,84 +55,123 @@ from repro.utils.errors import UpdateError
 from repro.utils.faults import activated
 
 
+def apply_update_in_place(
+    probtree: ProbTree,
+    update: ProbabilisticUpdate,
+    context: Optional[ExecutionContext] = None,
+) -> FrozenSet[str]:
+    """Apply a probabilistic update to *probtree* itself, in O(Δ).
+
+    The Appendix A rewrite on the live object: the cost follows matches ×
+    inserted (or copied) subtree size, not the document size.  Nothing is
+    copied, so everything keyed by the prob-tree stays warm — its structural
+    index and columnar snapshot patch forward from the tree's mutation
+    journal, its probability engine extends over the fresh event
+    (:meth:`ExecutionContext.engine_for`), and its cached answers whose
+    label fingerprints the update cannot touch are restamped to the new
+    version (:meth:`ExecutionContext.retire_answers_in_place`).  Returns
+    the labels the rewrite touched.
+
+    All reads — the matches, every per-match answer and presence condition,
+    the touched labels — happen before the first mutation, so nested
+    deletion targets never read nodes an earlier target's rewrite removed.
+    The mutations run inside one :func:`~repro.core.transactions.transaction`:
+    on any exception (including an injected fault from the context's
+    ``fault_plan``) the prob-tree, its journal, its version counters and its
+    index are restored byte-identically and the exception propagates.
+
+    Not safe against concurrent *unpinned* readers of *probtree*;
+    ``ProbXMLWarehouse.apply`` runs it only under the snapshot layer's
+    write handshake (:func:`repro.core.snapshot.exclusive_write`).
+    """
+    ctx = resolve_context(context)
+    with activated(ctx.fault_plan, ctx.stats):
+        before = (probtree.tree.version, probtree.state_version)
+        touched = _rewrite(ctx, probtree, probtree, update)
+        ctx.retire_answers_in_place(probtree, before, touched)
+    ctx.stats.updates_in_place += 1
+    return touched
+
+
 def apply_update_to_probtree(
     probtree: ProbTree,
     update: ProbabilisticUpdate,
     matcher: Optional[str] = None,
     context: Optional[ExecutionContext] = None,
 ) -> ProbTree:
-    """Apply a probabilistic update to a prob-tree, returning a new prob-tree.
+    """Apply a probabilistic update functionally, returning a new prob-tree.
 
-    The returned prob-tree owns a *fresh* :class:`~repro.trees.datatree.DataTree`
-    (a copy, mutated in place), so context answer-set caches keyed by tree
-    object never serve the pre-update answers for the post-update document.
-    Match finding goes through the context's matcher policy (``matcher=``
-    overrides its default).
+    The slow oracle of the update axis: :meth:`ProbTree.copy` plus the very
+    rewrite :func:`apply_update_in_place` performs, run on the copy (matches
+    are found on *probtree*, whose node ids the copy preserves).  The input
+    is never mutated, so a failed update has *no externally visible
+    effect* on it.  The returned prob-tree owns a fresh
+    :class:`~repro.trees.datatree.DataTree`, so context caches keyed by tree
+    object never serve pre-update answers for it; match finding goes
+    through the context's matcher policy (``matcher=`` overrides its
+    default).
 
     Because the copy preserves surviving node identifiers, labels and
     conditions, the context's cached answers whose patterns cannot touch the
-    mutated labels stay valid and are *migrated* to the returned prob-tree
-    (:meth:`ExecutionContext.migrate_answers`) instead of being lost with
-    the replaced objects — a warm update/query loop only recomputes the
-    queries the update could actually have affected.  The per-probtree
-    formula caches migrate alongside
-    (:meth:`ExecutionContext.migrate_formulas`): the update's distribution
-    only *adds* one fresh event, so every price computed against the old
-    prob-tree is still exact on the new one.
+    mutated labels are *migrated* to the returned prob-tree
+    (:meth:`ExecutionContext.migrate_answers`), and the per-probtree formula
+    caches migrate alongside (:meth:`ExecutionContext.migrate_formulas`):
+    the update's distribution only *adds* one fresh event, so every price
+    computed against the old prob-tree is still exact on the new one.
 
-    The operation is **transactional**: the mutation phase — event
-    registration, tree mutations, journal entries, version bumps — runs
-    inside one :func:`~repro.core.transactions.transaction`, committing in
-    order (tree mutation → journal → index patch on next access → cache
-    migration → version bumps were part of each step) or rolling back
-    entirely on any exception, which then propagates.  Since the input
-    prob-tree is never mutated at all (copy-then-mutate-then-return), a
-    failed update has *no externally visible effect*: the caller's document,
-    its index and every cached answer are byte-identical to before the call.
-    When the context carries a :class:`~repro.utils.faults.FaultPlan`
-    (``fault_plan=``), it is activated around the whole operation — the
-    crash-consistency harness injects failures at every mutator/migration
-    site through exactly this hook.
+    ``ProbXMLWarehouse.apply`` takes this path only while a reader holds a
+    pin on the document; ``clean``-style callers that want a new object
+    use it directly.  When the context carries a
+    :class:`~repro.utils.faults.FaultPlan` (``fault_plan=``), it is
+    activated around the whole operation — the crash-consistency harness
+    injects failures at every mutator/migration site through this hook.
     """
     ctx = resolve_context(context, matcher=matcher)
     with activated(ctx.fault_plan, ctx.stats):
-        return _apply_update(ctx, probtree, update)
+        result = probtree.copy()
+        touched = _rewrite(ctx, probtree, result, update)
+        ctx.migrate_answers(probtree, result, touched)
+    ctx.stats.updates_copied += 1
+    return result
 
 
-def _apply_update(
-    ctx: ExecutionContext, probtree: ProbTree, update: ProbabilisticUpdate
-) -> ProbTree:
+def _rewrite(
+    ctx: ExecutionContext,
+    source: ProbTree,
+    target: ProbTree,
+    update: ProbabilisticUpdate,
+) -> FrozenSet[str]:
+    """Match on *source*, rewrite *target*; returns the touched labels.
+
+    *target* is *source* itself (in place) or a copy of it preserving node
+    ids (functional).  Every read goes to *source* and happens before the
+    first tree mutation of *target*.
+    """
     operation = update.operation
-    matches = ctx.matches(operation.query, probtree.tree)
-    result = probtree.copy()
+    matches = ctx.matches(operation.query, source.tree)
     if not matches:
         # No world can be selected by Q (local monotonicity), so nothing
-        # changes and no event needs to be introduced; every cached answer
-        # carries over verbatim.
-        ctx.migrate_answers(probtree, result, frozenset())
-        return result
+        # changes and no event needs to be introduced.
+        return frozenset()
 
-    with transaction(result, context=ctx):
+    with transaction(target, context=ctx):
         extra_condition = Condition.true()
         if not update.is_certain:
-            event = update.event or probtree.event_factory().fresh()
-            if event in result.events():
+            event = update.event or source.event_factory().fresh()
+            if event in source.distribution:
                 raise UpdateError(f"event {event!r} already exists in the prob-tree")
-            result.add_event(event, update.confidence)
+            target.add_event(event, update.confidence)
             extra_condition = Condition.positive(event)
 
         if isinstance(operation, Insertion):
-            touched = _apply_insertion(
-                probtree, result, operation, matches, extra_condition
+            return _apply_insertion(
+                source, target, operation, matches, extra_condition
             )
-        elif isinstance(operation, Deletion):
-            touched = _apply_deletion(
-                probtree, result, operation, matches, extra_condition
+        if isinstance(operation, Deletion):
+            return _apply_deletion(
+                source, target, operation, matches, extra_condition
             )
-        else:
-            raise UpdateError(f"unknown update operation {operation!r}")
-    ctx.migrate_answers(probtree, result, touched)
-    return result
+        raise UpdateError(f"unknown update operation {operation!r}")
 
 
 def apply_updates_to_probtree(
@@ -153,24 +200,25 @@ def apply_updates_to_probtree(
 
 
 def _apply_insertion(
-    original: ProbTree,
-    result: ProbTree,
+    source: ProbTree,
+    target: ProbTree,
     operation: Insertion,
     matches: List[Match],
     extra_condition: Condition,
 ) -> FrozenSet[str]:
     """Apply the insertion; returns the labels the mutation touched."""
-    tree = original.tree
+    planned = []
     for match in matches:
-        target = match.target(operation.at)
-        answer_condition = _answer_condition(original, match)
-        presence = original.accumulated_condition(target)
-        root_condition = extra_condition.conjoin(answer_condition.minus(presence))
-        mapping = result.tree.add_subtree(target, operation.subtree)
-        inserted_root = mapping[operation.subtree.root]
-        if not root_condition.is_true():
-            result.set_condition(inserted_root, root_condition)
+        node = match.target(operation.at)
+        answer_condition = _answer_condition(source, match)
+        presence = source.accumulated_condition(node)
+        planned.append((node, answer_condition.minus(presence)))
     subtree = operation.subtree
+    for node, reduced in planned:
+        root_condition = extra_condition.conjoin(reduced)
+        mapping = target.tree.add_subtree(node, subtree)
+        if not root_condition.is_true():
+            target.set_condition(mapping[subtree.root], root_condition)
     return frozenset(subtree.label(node) for node in subtree.nodes())
 
 
@@ -180,34 +228,34 @@ def _apply_insertion(
 
 
 def _apply_deletion(
-    original: ProbTree,
-    result: ProbTree,
+    source: ProbTree,
+    target: ProbTree,
     operation: Deletion,
     matches: List[Match],
     extra_condition: Condition,
 ) -> FrozenSet[str]:
     """Apply the deletion; returns the labels the mutation touched."""
-    tree = original.tree
+    tree = source.tree
     by_target: Dict[NodeId, List[Match]] = {}
     for match in matches:
-        target = match.target(operation.at)
-        by_target.setdefault(target, []).append(match)
+        by_target.setdefault(match.target(operation.at), []).append(match)
 
     if tree.root in by_target:
         raise UpdateError("a deletion may not target the root of the tree")
 
-    # Bottom-up (deepest first) so that replacing an ancestor copies the
-    # already-rewritten descendants.
-    depth = tree_index(tree).depth
-    ordered_targets = sorted(by_target, key=lambda node: -depth(node))
+    # Read phase: every condition and label the rewrite needs, before the
+    # first mutation (in place, an outer target's answers may mention nodes
+    # a nested target's rewrite removes).  Bottom-up (deepest first) so that
+    # replacing an ancestor copies the already-rewritten descendants.
+    planned: List[Tuple[NodeId, Condition, DNF]] = []
     touched: set = set()
-    for target in ordered_targets:
-        target_condition = original.condition(target)
-        presence = original.accumulated_condition(target)
+    for node in sorted(by_target, key=lambda node: -tree.depth(node)):
+        presence = source.accumulated_condition(node)
         disjuncts: List[Condition] = []
-        for match in by_target[target]:
-            answer_condition = _answer_condition(original, match)
-            reduced = extra_condition.conjoin(answer_condition.minus(presence))
+        for match in by_target[node]:
+            reduced = extra_condition.conjoin(
+                _answer_condition(source, match).minus(presence)
+            )
             if reduced.is_consistent():
                 disjuncts.append(reduced)
         if not disjuncts:
@@ -216,10 +264,14 @@ def _apply_deletion(
         # Both the removal and the conditional re-insertions stay within the
         # target's label multiset, so these labels cover the whole rewrite.
         touched.update(
-            tree.label(node) for node in tree.descendants(target, include_self=True)
+            tree.label(inner) for inner in tree.descendants(node, include_self=True)
         )
-        survival = disjoint_negation(DNF(disjuncts))
-        _replace_with_conditional_copies(result, target, target_condition, survival)
+        planned.append(
+            (node, source.condition(node), disjoint_negation(DNF(disjuncts)))
+        )
+
+    for node, node_condition, survival in planned:
+        _replace_with_conditional_copies(target, node, node_condition, survival)
     return frozenset(touched)
 
 
@@ -295,4 +347,8 @@ def _answer_condition(probtree: ProbTree, match: Match) -> Condition:
     )
 
 
-__all__ = ["apply_update_to_probtree", "apply_updates_to_probtree"]
+__all__ = [
+    "apply_update_in_place",
+    "apply_update_to_probtree",
+    "apply_updates_to_probtree",
+]

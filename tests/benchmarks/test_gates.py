@@ -6,7 +6,8 @@ sampling latency, snapshot-isolation overhead ≤1.3× and threaded read
 throughput ≥2×, sharded-service scatter ≥2× with restart-free worker-pool
 GC, columnar matching ≥5× indexed at 100k nodes with mmap load ≥10×
 re-parse, journal-patched columnar maintenance ≥5× rebuild-per-mutation on
-a streaming workload) in smoke mode and exits nonzero when any gate
+a streaming workload, in-place warehouse inserts ≥10× the copy-then-rewrite
+functional twin at 8k nodes) in smoke mode and exits nonzero when any gate
 regresses.  The fast tests below check the selection logic and the
 percentile summariser without running anything; the smoke-run test actually
 executes the gates (seconds in smoke mode, still marked ``slow`` so the
@@ -100,6 +101,7 @@ def test_check_gates_passes(tmp_path):
         "bench_service",
         "bench_columnar",
         "bench_columnar_incremental",
+        "bench_inplace_update",
     }
     for result in summary["benchmarks"].values():
         assert result["status"] == "ok"

@@ -225,10 +225,16 @@ class TestEngineSharing:
 
     def test_engine_for_invalidated_by_distribution_change(self, figure1):
         before = engine_for(figure1)
+        # A conservative extension (a fresh event) keeps the engine and its
+        # memo; re-weighting an existing event invalidates it.
         figure1.add_event("fresh", 0.5)
+        extended = engine_for(figure1)
+        assert extended is before
+        assert "fresh" in extended.distribution.events()
+        figure1.add_event("fresh", 0.25)
         after = engine_for(figure1)
         assert after is not before
-        assert "fresh" in after.distribution.events()
+        assert after.distribution["fresh"] == 0.25
 
     def test_cache_shared_across_queries(self, figure1):
         engine = engine_for(figure1)
