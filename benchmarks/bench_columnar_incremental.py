@@ -6,9 +6,10 @@ queried continuously.  This gate replays exactly that shape on a 100k-node
 document — interleaved insert batches and wildcard queries — under two
 maintenance regimes:
 
-* **patched** — the shipping path: ``matcher="auto"`` through an
-  :class:`ExecutionContext`; the accessor journal-patches the cached
-  :class:`ColumnarTree` forward (bounded splices) before every query;
+* **patched** — the shipping path: the default fast path through an
+  :class:`ExecutionContext` (columnar at this size when numpy is present);
+  the accessor journal-patches the cached :class:`ColumnarTree` forward
+  (bounded splices) before every query;
 * **rebuild** — what every query paid before incremental maintenance: the
   cached column is dropped after each mutation batch and rebuilt from
   scratch by ``from_tree``.
@@ -19,7 +20,7 @@ so ``run_all.py`` reports p50/p95/p99 into the consolidated summary)::
     PYTHONPATH=src python benchmarks/bench_columnar_incremental.py
 
 Exit-code gates: end-to-end patched-column maintenance ≥ 5× the
-rebuild-per-mutation regime at 100k nodes, ``matcher="auto"`` keeps
+rebuild-per-mutation regime at 100k nodes, the default fast path keeps
 choosing columnar across the whole run (counter-asserted), the patched and
 rebuilt regimes return identical answers, and a seeded differential sweep
 finds the patched column byte-identical to a fresh rebuild after every
@@ -83,7 +84,7 @@ def _insert_batch(rng: random.Random, tree: DataTree, parents: list) -> None:
 
 
 def _patched_regime(tree: DataTree, pattern: TreePattern) -> dict:
-    context = ExecutionContext(matcher="auto")
+    context = ExecutionContext()
     rng = random.Random(1)
     parents = list(tree.nodes())
     pattern.matches(tree, context=context)  # warm the column (counted as a rebuild)

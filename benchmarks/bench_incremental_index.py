@@ -38,6 +38,7 @@ from repro.core.context import ExecutionContext
 from repro.core.probtree import ProbTree
 from repro.queries.treepattern import EDGE_DESCENDANT, TreePattern, child_chain
 from repro.queries.evaluation import evaluate_on_probtree
+from repro.queries.plan import PatternPlan
 from repro.trees.index import tree_index
 from repro.workloads.random_trees import random_datatree
 
@@ -92,7 +93,7 @@ def _run_workload(tree, pattern, plan, drop_index: bool) -> float:
             tree.delete_subtree(added.pop())
         if drop_index:
             tree._index_cache = None  # the pre-incremental wholesale drop
-        pattern.matches(tree, matcher="indexed")
+        PatternPlan(pattern, tree).matches()
     return time.perf_counter() - start
 
 

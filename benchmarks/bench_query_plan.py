@@ -1,6 +1,7 @@
 """Naive vs indexed tree-pattern matching across tree sizes.
 
-Runs both matchers over the same random documents and a 5-node
+Runs the naive matcher and the indexed :class:`PatternPlan` over the same
+random documents and a 5-node
 descendant-edge pattern, verifies they return identical match sets, and
 emits one JSON object to stdout::
 
@@ -24,6 +25,7 @@ from pathlib import Path
 if __package__ is None and str(Path(__file__).resolve().parents[1] / "src") not in sys.path:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from repro.queries.plan import PatternPlan
 from repro.queries.treepattern import EDGE_DESCENDANT, TreePattern
 from repro.trees.index import tree_index
 from repro.workloads.random_trees import random_datatree
@@ -68,12 +70,12 @@ def run() -> dict:
             # tree's mutation version, invalidating the cached index).
             def cold():
                 tree.set_label(tree.root, tree.root_label)
-                return pattern.matches(tree, matcher="indexed")
+                return PatternPlan(pattern, tree).matches()
 
             cold_s, _ = _best_of(cold)
             tree_index(tree)  # warm the shared index
             indexed_s, indexed_matches = _best_of(
-                lambda: pattern.matches(tree, matcher="indexed")
+                lambda: PatternPlan(pattern, tree).matches()
             )
 
             if set(naive_matches) != set(indexed_matches):

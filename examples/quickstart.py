@@ -17,8 +17,10 @@ under an :class:`repro.ExecutionContext` — a session object owning
 * the **policy**: ``engine="formula"`` (default; Shannon expansion over
   event formulas, never materializes possible worlds) or ``"enumerate"``
   (the paper's literal exponential semantics, kept as an oracle), and
-  ``matcher="indexed"`` (default; compiled plans over a structural index),
-  ``"naive"`` (backtracking oracle) or ``"auto"`` (cost-model choice);
+  the matcher: the fast path by default (compiled plans over a structural
+  index, or vectorized plans over a flat columnar snapshot for documents of
+  16384 nodes and more when numpy is installed — the document's size
+  decides) or ``matcher="naive"`` (backtracking oracle);
 * the **caches**: per-document Shannon tables, structural indexes, and an
   answer-set cache that makes repeated queries on an unchanged document
   near-free (any update invalidates it automatically);
@@ -30,7 +32,7 @@ one across warehouses, or legacy ``engine=`` / ``matcher=`` strings for an
 ad-hoc policy.  Per-call overrides always win:
 ``warehouse.probability(q, engine="enumerate")``.  The same knobs exist on
 the CLI (``python -m repro.cli probability doc.xml //movie --engine formula
---matcher auto --stats``) and on the underlying functions
+--matcher naive --stats``) and on the underlying functions
 (``boolean_probability(query, probtree, context=ctx)``).
 """
 
@@ -38,10 +40,10 @@ from repro import ExecutionContext, ProbXMLWarehouse, probtree_to_xml, tree
 
 
 def main() -> None:
-    # 1. An empty catalog (a certain, single-node document).  The warehouse
-    #    creates a session ExecutionContext; matcher="auto" lets its cost
-    #    model pick the embedding strategy per pattern.
-    context = ExecutionContext(engine="formula", matcher="auto")
+    # 1. An empty catalog (a certain, single-node document), run under a
+    #    session ExecutionContext; the document's size picks the embedding
+    #    strategy.
+    context = ExecutionContext(engine="formula")
     warehouse = ProbXMLWarehouse("catalog", context=context)
 
     # 2. Imprecise knowledge arrives as probabilistic insertions.  Each update

@@ -29,7 +29,7 @@ import threading
 from pathlib import Path
 from typing import List, Optional
 
-from repro.core.context import ExecutionContext
+from repro.core.context import AUTO_COLUMNAR_NODES, ExecutionContext
 from repro.core.engine import ProbXMLWarehouse
 from repro.formulas.sampling import PricingPolicy
 from repro.dtd.dtd import DTD, ChildConstraint
@@ -246,13 +246,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--matcher",
-        choices=("indexed", "naive", "columnar", "auto"),
-        default="indexed",
-        help="tree-pattern matcher: 'indexed' (compiled plans over a "
-        "structural index, the default), 'naive' (direct backtracking), "
-        "'columnar' (vectorized interval merges over a flat-array snapshot, "
-        "journal-patched forward across updates) or 'auto' (cost-model "
-        "choice per pattern; treats a patchable column as warm)",
+        choices=("naive",),
+        default=None,
+        help="tree-pattern matcher: omit for the fast path (compiled plans "
+        "over a structural index, or vectorized interval merges over a "
+        f"flat-array snapshot for documents of {AUTO_COLUMNAR_NODES} nodes "
+        "and more when numpy is installed), or 'naive' for the direct "
+        "backtracking oracle",
     )
     common.add_argument(
         "--stats",

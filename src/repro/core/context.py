@@ -8,34 +8,30 @@ structural index) lived in module-level registries with no owner.  An
 
 * **mode resolution** — the context carries the default ``engine``
   (``"formula"`` | ``"enumerate"`` | ``"sample"`` | ``"auto-sample"``) and
-  ``matcher`` (``"indexed"`` | ``"naive"`` | ``"columnar"`` | ``"auto"``)
-  for every operation
-  executed through it, together with a session
-  :class:`~repro.formulas.sampling.PricingPolicy` (exact-pricing budget and
-  sampling tolerances), with per-call overrides resolved by
-  :func:`resolve_context` (precedence: per-call override > context default >
-  module default);
+  ``matcher`` (``None``, the automatic fast path, or ``"naive"``, the
+  backtracking oracle) for every operation executed through it, together
+  with a session :class:`~repro.formulas.sampling.PricingPolicy`
+  (exact-pricing budget and sampling tolerances), with per-call overrides
+  resolved by :func:`resolve_context` (precedence: per-call override >
+  context default > module default);
 * **cache handles** — a context-scoped registry of
   :class:`~repro.core.probability.ProbabilityEngine` instances (one Shannon
   cache per prob-tree per mode, all pricing through the context's single
   hash-consed :class:`~repro.formulas.ir.FormulaPool` intern table — see
-  :attr:`ExecutionContext.formula_pool`), the shared structural
-  :class:`~repro.trees.index.TreeIndex` (delegated to
-  :func:`~repro.trees.index.tree_index`), and a NEW **answer-set cache**
+  :attr:`ExecutionContext.formula_pool`) and an **answer-set cache**
   memoizing ``result_node_sets`` keyed by ``(tree.version, pattern
   fingerprint, matcher)`` — repeated queries against an unchanged document
   skip matching entirely, and any mutation (which bumps
   :attr:`DataTree.version <repro.trees.datatree.DataTree.version>`) or tree
   replacement (a fresh object) invalidates the entry automatically;
-* **a cost model** — ``matcher="auto"`` picks the vectorized columnar
-  matcher for large trees (≥ :data:`AUTO_COLUMNAR_NODES`, numpy present) or
-  when a fresh columnar snapshot is already cached, the naive backtracking
-  matcher for tiny pattern×tree products (where the O(n) index build
-  dominates) and the compiled indexed plans otherwise; a fresh cached index
-  tips the choice to ``"indexed"`` since the build cost is already sunk;
+* **one size rule** — the fast path is the vectorized columnar matcher for
+  trees of at least :data:`AUTO_COLUMNAR_NODES` nodes when numpy is present,
+  and the compiled indexed plans otherwise
+  (:meth:`ExecutionContext.effective_matcher`); both return byte-identical
+  answers, so the choice is a pure function of backend and tree size;
 * **observable stats** — :class:`ContextStats` counts answer-cache
   hits/misses, plans compiled, formulas evaluated by the context's engines,
-  engines created and auto-matcher decisions, so repeated-query workloads
+  engines created and fast-path choices, so repeated-query workloads
   can be inspected and benchmarked.
 
 Contexts are deliberately cheap: overriding modes through
@@ -47,7 +43,6 @@ fork the Shannon tables the session has already paid for.
 from __future__ import annotations
 
 import gc
-import inspect
 import threading
 import weakref
 from collections import OrderedDict
@@ -59,28 +54,15 @@ from repro.formulas.ir import FormulaPool
 from repro.formulas.sampling import PricingPolicy
 from repro.trees.columnar import have_numpy as _columnar_have_numpy
 from repro.trees.datatree import DataTree, NodeId
-from repro.trees.index import PATCH_JOURNAL_LIMIT, TreeIndex, tree_index
 from repro.utils.errors import QueryError
 from repro.utils.faults import fire
 
-#: Matcher choices a context understands; ``"auto"`` resolves per call
-#: through the cost model into one of the fixed modes of
-#: :data:`repro.queries.plan.MATCHER_MODES` (single source of truth for the
-#: concrete modes — validation delegates to ``require_matcher_mode``).
-MATCHER_CHOICES = ("indexed", "naive", "columnar", "auto")
-
-#: Below this pattern-nodes × tree-nodes product, ``matcher="auto"`` prefers
-#: the naive backtracking matcher (no index build) when no fresh index exists.
-AUTO_NAIVE_COST = 512
-
-#: From this tree size upward, ``matcher="auto"`` prefers the columnar
-#: matcher (vectorized interval merges over the flat arrays of
-#: :class:`repro.trees.columnar.ColumnarTree`) when numpy is available —
-#: below it the object plans win because the per-query constant factors
-#: (array conversions, searchsorted setup) dominate.  A tree that already
-#: carries a *fresh* columnar snapshot tips to columnar regardless of size:
-#: the O(n) column build is sunk.
-AUTO_COLUMNAR_NODES = 32768
+#: From this tree size upward the fast path is the columnar matcher
+#: (vectorized interval merges over the flat arrays of
+#: :class:`repro.trees.columnar.ColumnarTree`) when numpy is available;
+#: below it the indexed plans win because the per-query constant factors
+#: (array conversions, searchsorted setup) dominate.
+AUTO_COLUMNAR_NODES = 16384
 
 #: Default per-document bound on cached answer entries (per cache layer).
 #: Deliberately generous — the LRU exists to cap worst-case memory on
@@ -104,60 +86,19 @@ MAX_CACHED_ANSWERS = 1024
 FORMULA_POOL_NODE_LIMIT = 1 << 18
 
 
-# Query methods predating the context layer take (tree, matcher=None) — and
-# the oldest ad-hoc Query subclasses in user code may override them with
-# (tree) alone.  The context therefore checks — once per (function, kwarg) —
-# which keyword arguments an override accepts before passing them along.
-_KWARG_SUPPORT: Dict[Tuple[object, str], bool] = {}
+def require_matcher(mode: Optional[str]) -> Optional[str]:
+    """Validate a ``matcher=`` argument: ``None`` (fast path) or ``"naive"``.
 
-
-def _accepts_kwarg(method, name: str) -> bool:
-    func = getattr(method, "__func__", method)
-    key = (func, name)
-    cached = _KWARG_SUPPORT.get(key)
-    if cached is None:
-        try:
-            parameters = inspect.signature(func).parameters
-            cached = name in parameters or any(
-                parameter.kind is inspect.Parameter.VAR_KEYWORD
-                for parameter in parameters.values()
-            )
-        except (TypeError, ValueError):  # pragma: no cover - builtins/partials
-            cached = False
-        _KWARG_SUPPORT[key] = cached
-    return cached
-
-
-def _legacy_kwargs(method, effective: str, context: "ExecutionContext") -> Dict[str, object]:
-    """The keyword arguments *method* can take, out of matcher/context."""
-    kwargs: Dict[str, object] = {}
-    if _accepts_kwarg(method, "matcher"):
-        kwargs["matcher"] = effective
-    if _accepts_kwarg(method, "context"):
-        kwargs["context"] = context
-    return kwargs
-
-
-def require_matcher_choice(mode: Optional[str]) -> str:
-    """Validate a context-level ``matcher=`` argument (``None`` → ``"indexed"``).
-
-    Accepts ``"auto"`` on top of the concrete modes, whose validation is
-    delegated to :func:`repro.queries.plan.require_matcher_mode` so there is
-    one source of truth for what the matchers themselves understand.
+    The fast path picks the indexed or the columnar matcher by tree size
+    (:meth:`ExecutionContext.effective_matcher`); neither is selectable by
+    name.
     """
-    if mode is None:
-        return "indexed"
-    if mode == "auto":
+    if mode is None or mode == "naive":
         return mode
-    # Imported lazily: the repro.queries package imports this module.
-    from repro.queries.plan import require_matcher_mode
-
-    try:
-        return require_matcher_mode(mode)
-    except QueryError:
-        raise QueryError(
-            f"unknown matcher {mode!r}; expected one of {MATCHER_CHOICES}"
-        ) from None
+    raise QueryError(
+        f"unknown matcher {mode!r}; expected None (the automatic fast path) "
+        f"or 'naive' (the backtracking oracle)"
+    )
 
 
 class ContextStats:
@@ -176,7 +117,6 @@ class ContextStats:
         "plans_compiled",
         "formulas_evaluated",
         "engines_created",
-        "auto_chose_naive",
         "auto_chose_indexed",
         "auto_chose_columnar",
         "columns_patched",
@@ -211,7 +151,6 @@ class ContextStats:
         self.plans_compiled = 0
         self.formulas_evaluated = 0
         self.engines_created = 0
-        self.auto_chose_naive = 0
         self.auto_chose_indexed = 0
         self.auto_chose_columnar = 0
         self.columns_patched = 0         # stale columns journal-patched forward
@@ -293,25 +232,10 @@ class _DocumentCache:
         )
 
 
-def _journal_touch(
-    tree: DataTree, since_version: int
-) -> Optional[Tuple[FrozenSet[str], FrozenSet[NodeId]]]:
-    """``(touched_labels, relabeled_nodes)`` since *since_version*, or ``None``.
-
-    ``None`` means the tree's journal has been trimmed past *since_version*
-    and only wholesale invalidation is sound.  The extraction itself lives
-    on the tree (:meth:`DataTree.mutation_touch_since`) so there is exactly
-    one switch over journal entry kinds.
-    """
-    return tree.mutation_touch_since(since_version)
-
-
-def _query_label_set(query) -> Optional[FrozenSet[str]]:
-    """The query's label fingerprint, ``None`` when it offers none."""
-    method = getattr(query, "label_set", None)
-    if callable(method):
-        return method()
-    return None
+def _query_key(query, name: str):
+    """``query.<name>()`` (``fingerprint`` or ``label_set``), ``None`` when absent."""
+    method = getattr(query, name, None)
+    return method() if callable(method) else None
 
 
 class _ContextState:
@@ -324,7 +248,6 @@ class _ContextState:
         "dtd_formulas",
         "stats",
         "formula_pool",
-        "auto_naive_cost",
         "cache_answers",
         "max_cached_answers",
         "pricing",
@@ -337,7 +260,6 @@ class _ContextState:
 
     def __init__(
         self,
-        auto_naive_cost: int = AUTO_NAIVE_COST,
         cache_answers: bool = True,
         max_cached_answers: Optional[int] = None,
         pricing: Optional[PricingPolicy] = None,
@@ -371,7 +293,6 @@ class _ContextState:
         # equal formulas get equal integer ids across prob-trees, queries and
         # DTD checks, and the pool's intern counters land in self.stats.
         self.formula_pool = FormulaPool(stats=self.stats)
-        self.auto_naive_cost = auto_naive_cost
         self.cache_answers = cache_answers
         if max_cached_answers is None:
             max_cached_answers = MAX_CACHED_ANSWERS
@@ -384,7 +305,7 @@ class _ContextState:
         # One pricing policy (exact budget + sampling tolerances) per
         # session, applied to every engine this state hands out.
         self.pricing = pricing if pricing is not None else PricingPolicy()
-        # Reentrant: cache probes recurse into engine_for / index_for while
+        # Reentrant: cache probes recurse into engine_for while
         # holding it.  Guards every shared-cache probe/store so snapshot-mode
         # readers on different threads never tear a shard; formula pricing
         # itself also runs under it (compute happens inside the cached_*
@@ -490,10 +411,9 @@ class ExecutionContext:
         engine: default probability engine mode (``"formula"`` |
             ``"enumerate"`` | ``"sample"`` | ``"auto-sample"``; ``None``
             means ``"formula"``).
-        matcher: default embedding matcher (``"indexed"`` | ``"naive"`` |
-            ``"columnar"`` | ``"auto"``; ``None`` means ``"indexed"``).
-        auto_naive_cost: pattern×tree product below which ``"auto"`` picks
-            the naive matcher when no fresh index is cached.
+        matcher: default embedding matcher: ``None`` (the automatic fast
+            path, see :meth:`effective_matcher`) or ``"naive"`` (the
+            backtracking oracle).
         cache_answers: whether to memoize full answer lists (see
             :meth:`cached_answers`).  On by default for explicitly-created
             session contexts; the module :func:`default_context` disables it
@@ -531,7 +451,6 @@ class ExecutionContext:
         self,
         engine: Optional[str] = None,
         matcher: Optional[str] = None,
-        auto_naive_cost: int = AUTO_NAIVE_COST,
         cache_answers: bool = True,
         max_cached_answers: Optional[int] = None,
         pricing: Optional[PricingPolicy] = None,
@@ -541,12 +460,11 @@ class ExecutionContext:
         _state: Optional[_ContextState] = None,
     ) -> None:
         self._engine = require_engine_mode(engine) if engine is not None else "formula"
-        self._matcher = require_matcher_choice(matcher)
+        self._matcher = require_matcher(matcher)
         self._state = (
             _state
             if _state is not None
             else _ContextState(
-                auto_naive_cost,
                 cache_answers,
                 max_cached_answers,
                 pricing,
@@ -564,8 +482,8 @@ class ExecutionContext:
         return self._engine
 
     @property
-    def matcher(self) -> str:
-        """The context's default matcher mode (may be ``"auto"``)."""
+    def matcher(self) -> Optional[str]:
+        """The context's default matcher: ``None`` (fast path) or ``"naive"``."""
         return self._matcher
 
     def with_modes(
@@ -593,87 +511,27 @@ class ExecutionContext:
         """The engine mode for one call (*override* wins when given)."""
         return require_engine_mode(override) if override is not None else self._engine
 
-    def resolve_matcher(self, override: Optional[str] = None) -> str:
-        """The matcher choice for one call, possibly still ``"auto"``."""
-        return require_matcher_choice(override) if override is not None else self._matcher
+    def resolve_matcher(self, override: Optional[str] = None) -> Optional[str]:
+        """The matcher for one call (*override* wins when given)."""
+        return require_matcher(override) if override is not None else self._matcher
 
-    def effective_matcher(
-        self, query, tree: DataTree, override: Optional[str] = None, record: bool = True
-    ) -> str:
+    def effective_matcher(self, tree: DataTree, override: Optional[str] = None) -> str:
         """The concrete matcher (``"indexed"`` | ``"naive"`` | ``"columnar"``)
-        for one evaluation.
+        for one evaluation on *tree*.
 
-        ``"auto"`` is resolved here, in cost order:
-
-        * **columnar** — when numpy is available and either the tree already
-          carries a *warm* columnar snapshot — fresh, or stale but patchable
-          from a journal suffix of at most
-          :data:`~repro.trees.index.PATCH_JOURNAL_LIMIT` entries, in which
-          case :func:`~repro.trees.columnar.columnar_tree` will splice the
-          pending mutations in (bounded work) rather than rebuild — or the
-          tree is at least :data:`AUTO_COLUMNAR_NODES` nodes (vectorized
-          interval merges dwarf the one-time column build);
-        * **indexed** — if the tree carries a fresh — or *almost fresh*,
-          i.e. stale but patchable from a journal suffix of at most
-          :data:`~repro.trees.index.PATCH_JOURNAL_LIMIT` entries —
-          structural index, the (re)build cost is sunk or negligible and the
-          compiled plans win;
-        * **naive** — tiny pattern×tree products (the O(n) index build would
-          dominate); everything else is indexed.
-
-        ``record=False`` suppresses the ``auto_chose_*`` counters — used by
-        cache-key computation, so only decisions that drive actual matching
-        are counted (one per evaluation, none on cache hits).
+        ``"naive"`` when asked for; otherwise the fast path, a pure function
+        of backend and size: ``"columnar"`` when numpy imports and the tree
+        has at least :data:`AUTO_COLUMNAR_NODES` nodes, ``"indexed"``
+        otherwise.  Each fast-path choice is counted in
+        ``auto_chose_columnar`` / ``auto_chose_indexed``.
         """
-        mode = self.resolve_matcher(override)
-        if mode != "auto":
-            return mode
-        stats = self._state.stats
-        if _columnar_have_numpy():
-            column = tree._columnar_cache
-            warm = column is not None and (
-                column.version == tree.version
-                or (
-                    # Same version arithmetic as the indexed branch below:
-                    # a stale-but-patchable column costs a bounded splice,
-                    # not the O(n) rebuild, so its build cost is sunk too.
-                    # A mid-patch-poisoned column (version -1) predates any
-                    # journal base and fails journal_reaches.
-                    tree.version - column.version <= PATCH_JOURNAL_LIMIT
-                    and tree.journal_reaches(column.version)
-                )
-            )
-            if warm or tree.node_count() >= AUTO_COLUMNAR_NODES:
-                if record:
-                    stats.auto_chose_columnar += 1
-                return "columnar"
-        cached = tree._index_cache
-        if cached is not None:
-            almost_fresh = cached.is_fresh()
-            if not almost_fresh:
-                # Journal-aware: a stale index whose pending journal suffix
-                # is within the patch threshold will be *patched in place*
-                # (O(journal · suffix)), not rebuilt — the build cost the
-                # naive matcher would dodge is not actually on the table.
-                # The suffix length is pure version arithmetic (one journal
-                # entry per bump); this runs on every warm answer-cache hit,
-                # so no entries are copied out here.
-                almost_fresh = (
-                    tree.version - cached.version <= PATCH_JOURNAL_LIMIT
-                    and tree.journal_reaches(cached.version)
-                )
-            if almost_fresh:
-                if record:
-                    stats.auto_chose_indexed += 1
-                return "indexed"
-        node_count = getattr(query, "node_count", None)
-        pattern_nodes = node_count() if callable(node_count) else 4
-        if pattern_nodes * tree.node_count() <= self._state.auto_naive_cost:
-            if record:
-                stats.auto_chose_naive += 1
+        if self.resolve_matcher(override) == "naive":
             return "naive"
-        if record:
-            stats.auto_chose_indexed += 1
+        stats = self._state.stats
+        if _columnar_have_numpy() and tree.node_count() >= AUTO_COLUMNAR_NODES:
+            stats.auto_chose_columnar += 1
+            return "columnar"
+        stats.auto_chose_indexed += 1
         return "indexed"
 
     # -- snapshots -----------------------------------------------------------
@@ -849,15 +707,6 @@ class ExecutionContext:
             per_tree[key] = (stamp, node)
             return node
 
-    def index_for(self, tree: DataTree) -> TreeIndex:
-        """The shared structural index of *tree* (patched, fetched or built).
-
-        Delegates to :func:`~repro.trees.index.tree_index`: a stale cached
-        snapshot is patched in place by replaying the tree's mutation
-        journal, and rebuilt only past the cost-model threshold.
-        """
-        return tree_index(tree)
-
     # -- answer-cache internals ---------------------------------------------
 
     def _sync_nodeset_shard(self, tree: DataTree) -> _DocumentCache:
@@ -867,7 +716,7 @@ class ExecutionContext:
             shard = _DocumentCache(tree.version)
             self._state.answer_cache[tree] = shard
         elif shard.stamp != tree.version:
-            self._retire(shard, _journal_touch(tree, shard.stamp))
+            self._retire(shard, tree.mutation_touch_since(shard.stamp))
             shard.stamp = tree.version
         return shard
 
@@ -876,8 +725,8 @@ class ExecutionContext:
         """Drop the entries a mutation batch could have affected.
 
         *touch* is the ``(touched_labels, relabeled_nodes)`` pair from
-        :func:`_journal_touch`, or ``None`` when the journal is gone —
-        wholesale invalidation then.  An entry survives iff its label
+        :meth:`DataTree.mutation_touch_since`, or ``None`` when the journal
+        is gone — wholesale invalidation then.  An entry survives iff its label
         fingerprint is disjoint from the touched labels AND (for full-answer
         entries) none of its answer nodes was relabeled; wildcard entries
         (``labels is None``) never survive a non-empty batch.
@@ -909,10 +758,7 @@ class ExecutionContext:
             stats.evictions += 1
 
     def result_node_sets(
-        self,
-        query,
-        source: Union[ProbTree, DataTree],
-        matcher: Optional[str] = None,
+        self, query, source: Union[ProbTree, DataTree]
     ) -> List[FrozenSet[NodeId]]:
         """Answer node sets of *query* on *source*, memoized per tree version.
 
@@ -928,29 +774,21 @@ class ExecutionContext:
         bounded by the context's ``max_cached_answers``.
         """
         tree = source.tree if isinstance(source, ProbTree) else source
-        effective = self.effective_matcher(query, tree, matcher)
-        compute = query.result_node_sets
-        kwargs = _legacy_kwargs(compute, effective, self)
-        if "context" not in kwargs:
-            return compute(tree, **kwargs)
-        fingerprint = None
-        method = getattr(query, "fingerprint", None)
-        if callable(method):
-            fingerprint = method()
+        fingerprint = _query_key(query, "fingerprint")
         if fingerprint is None:
-            return compute(tree, **kwargs)
+            return query.result_node_sets(tree, context=self)
         stats = self._state.stats
         with self._state.lock:
             shard = self._sync_nodeset_shard(tree)
-            key = (fingerprint, effective)
+            key = (fingerprint, self._matcher)
             cached = shard.entries.get(key)
             if cached is not None:
                 shard.entries.move_to_end(key)
                 stats.nodeset_cache_hits += 1
                 return list(cached[2])
             stats.nodeset_cache_misses += 1
-            result = compute(tree, **kwargs)
-            shard.entries[key] = (_query_label_set(query), None, tuple(result))
+            result = query.result_node_sets(tree, context=self)
+            shard.entries[key] = (_query_key(query, "label_set"), None, tuple(result))
             self._evict(shard)
             return result
 
@@ -964,7 +802,7 @@ class ExecutionContext:
         """Full Definition 8 answer lists, memoized per prob-tree state.
 
         The cache key pairs the query's structural fingerprint with the
-        concrete matcher; the guard stamp is ``(tree.version,
+        matcher (fast path or naive oracle); the guard stamp is ``(tree.version,
         probtree.state_version)``.  Condition/distribution mutations (a
         ``state_version`` bump) still invalidate wholesale — they can
         reprice any answer — but purely structural/label mutations are
@@ -992,14 +830,10 @@ class ExecutionContext:
         """
         if not self._state.cache_answers:
             return compute()
-        method = getattr(query, "fingerprint", None)
-        fingerprint = method() if callable(method) else None
+        fingerprint = _query_key(query, "fingerprint")
         if fingerprint is None:
             return compute()
         tree = probtree.tree
-        # record=False: this resolution only builds the cache key; the
-        # compute path re-resolves (and counts) if matching actually runs.
-        effective = self.effective_matcher(query, tree, record=False)
         with self._state.lock:
             stamp = (tree.version, probtree.state_version)
             shard = self._state.probtree_answers.get(probtree)
@@ -1012,13 +846,14 @@ class ExecutionContext:
                     # only structural journals support label-targeted retention.
                     shard.entries.clear()
                 else:
-                    self._retire(shard, _journal_touch(tree, shard.stamp[0]))
+                    self._retire(shard, tree.mutation_touch_since(shard.stamp[0]))
                 shard.stamp = stamp
-            # The engine mode is part of the key even though per-answer prices
-            # are mode-independent: an explicit engine="enumerate" request is a
-            # request to *run* the oracle path, not to be served formula-cached
-            # results (differential comparisons must stay honest).
-            key = (fingerprint, effective, self.resolve_engine(), keep_zero_probability)
+            # The engine and matcher modes are part of the key even though
+            # answers are mode-independent: an explicit engine="enumerate" or
+            # matcher="naive" request is a request to *run* the oracle path,
+            # not to be served fast-path cached results (differential
+            # comparisons must stay honest).
+            key = (fingerprint, self._matcher, self._engine, keep_zero_probability)
             cached = shard.entries.get(key)
             stats = self._state.stats
             if cached is not None:
@@ -1032,7 +867,7 @@ class ExecutionContext:
             node_ids = frozenset(
                 node for answer in result for node in answer.tree.nodes()
             )
-            shard.entries[key] = (_query_label_set(query), node_ids, tuple(result))
+            shard.entries[key] = (_query_key(query, "label_set"), node_ids, tuple(result))
             self._evict(shard)
             return result
 
@@ -1203,17 +1038,13 @@ class ExecutionContext:
                 state.stats.formulas_migrated += moved
             return moved
 
-    def results(self, query, tree: DataTree, matcher: Optional[str] = None):
+    def results(self, query, tree: DataTree):
         """Answer sub-datatrees of *query* on *tree* under this context's policy."""
-        effective = self.effective_matcher(query, tree, matcher)
-        method = query.results
-        return method(tree, **_legacy_kwargs(method, effective, self))
+        return query.results(tree, context=self)
 
-    def matches(self, query, tree: DataTree, matcher: Optional[str] = None):
+    def matches(self, query, tree: DataTree):
         """All embeddings of *query* into *tree* under this context's policy."""
-        effective = self.effective_matcher(query, tree, matcher)
-        method = query.matches_with
-        return method(tree, **_legacy_kwargs(method, effective, self))
+        return query.matches_with(tree, context=self)
 
     # -- stats ---------------------------------------------------------------
 
@@ -1223,7 +1054,7 @@ class ExecutionContext:
         return self._state.stats
 
     def note_plan_compiled(self) -> None:
-        """Record one compiled pattern plan (called by the indexed matcher)."""
+        """Record one compiled pattern plan (called by the fast matchers)."""
         self._state.stats.plans_compiled += 1
 
     def __repr__(self) -> str:
@@ -1241,11 +1072,11 @@ _DEFAULT_CONTEXT = ExecutionContext(cache_answers=False)
 
 
 def default_context() -> ExecutionContext:
-    """The module-level default context (engine ``"formula"``, matcher ``"indexed"``).
+    """The module-level default context (engine ``"formula"``, fast matcher).
 
     Used by every entry point when the caller supplies neither ``context=``
     nor a legacy string kwarg, so ad-hoc calls still share one set of
-    engines, indexes and node-set caches per process.  Full answer-list
+    engines and node-set caches per process.  Full answer-list
     caching is *disabled* here (``cache_answers=False``): callers that never
     opted into a context keep the historical fresh-answer-trees-per-call
     semantics and cannot be bitten by the shared-read-only contract of
@@ -1284,12 +1115,10 @@ def resolve_context(
 
 
 __all__ = [
-    "MATCHER_CHOICES",
-    "AUTO_NAIVE_COST",
     "AUTO_COLUMNAR_NODES",
     "MAX_CACHED_ANSWERS",
     "FORMULA_POOL_NODE_LIMIT",
-    "require_matcher_choice",
+    "require_matcher",
     "ContextStats",
     "ExecutionContext",
     "default_context",

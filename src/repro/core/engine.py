@@ -105,12 +105,15 @@ def _coerce_document(document: Union[str, DataTree, ProbTree]) -> ProbTree:
             if tag is not None and tag.group(1) == "probtree":
                 return probtree_from_xml(stripped)
             return ProbTree.certain(datatree_from_xml(stripped))
-        except ET.ParseError as error:
+        except InvalidTreeError as error:
+            cause = error.__cause__
+            if not isinstance(cause, ET.ParseError):
+                raise
             raise InvalidTreeError(
                 f"document string starts with '<' but is not well-formed XML "
-                f"({error}); pass a plain label (no leading '<') for a "
+                f"({cause}); pass a plain label (no leading '<') for a "
                 f"one-node document"
-            ) from error
+            ) from cause
     return ProbTree.certain(DataTree(text))
 
 
@@ -144,12 +147,13 @@ class ProbXMLWarehouse:
       anytime Monte-Carlo (see :meth:`probability_anytime` for the
       confidence interval); ``"auto-sample"`` tries budgeted-exact first
       and degrades to sampling on a tripped budget;
-    * ``matcher`` — ``"indexed"`` (default) compiles patterns into
-      bottom-up plans over the document's shared structural index;
-      ``"columnar"`` runs the same plans as vectorized interval merges over
-      the document's flat :class:`~repro.trees.columnar.ColumnarTree`
-      snapshot; ``"naive"`` is the direct backtracking oracle; ``"auto"``
-      picks per pattern via the context's cost model.
+    * ``matcher`` — ``None`` (default) is the fast path: patterns compile
+      into bottom-up plans over the document's shared structural index, or,
+      for documents of at least
+      :data:`~repro.core.context.AUTO_COLUMNAR_NODES` nodes with numpy
+      present, run as vectorized interval merges over its flat
+      :class:`~repro.trees.columnar.ColumnarTree` snapshot; ``"naive"`` is
+      the direct backtracking oracle.
 
     Per-call overrides follow the library-wide precedence: explicit string
     kwargs > per-call ``context=`` > the warehouse's own context.
@@ -385,13 +389,17 @@ class ProbXMLWarehouse:
         self._context = self._context.with_modes(engine=mode)
 
     @property
-    def matcher(self) -> str:
-        """The matcher mode (``"indexed"``, ``"naive"``, ``"columnar"`` or ``"auto"``)."""
+    def matcher(self) -> Optional[str]:
+        """The matcher mode (``None`` for the fast path, or ``"naive"``)."""
         return self._context.matcher
 
     @matcher.setter
-    def matcher(self, mode: str) -> None:
-        self._context = self._context.with_modes(matcher=mode)
+    def matcher(self, mode: Optional[str]) -> None:
+        # Not with_modes: there None means "keep", here it selects the fast path.
+        context = self._context
+        self._context = ExecutionContext(
+            engine=context.engine, matcher=mode, _state=context._state
+        )
 
     @property
     def document(self) -> DataTree:

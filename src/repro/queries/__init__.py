@@ -6,8 +6,9 @@
   concrete locally monotone language of [3] / Theorem 1;
 * :mod:`repro.queries.path` — a tiny XPath-like path syntax compiled to tree
   patterns (convenience layer for examples and workloads);
-* :mod:`repro.queries.plan` — compiled tree-pattern plans over structural
-  indexes (the ``"indexed"`` matcher; ``"naive"`` backtracking is the oracle);
+* :mod:`repro.queries.plan` — compiled tree-pattern plans over the
+  structural index or the columnar snapshot (the fast path; ``"naive"``
+  backtracking is the oracle);
 * :mod:`repro.queries.evaluation` — evaluation on data trees, on PW sets
   (Definition 7) and on prob-trees (Definition 8 / Theorem 1), with batch
   entry points sharing the index and formula caches across queries.
@@ -16,12 +17,7 @@
 from repro.queries.base import Match, Query, LocallyMonotoneQuery, is_locally_monotone_on
 from repro.queries.treepattern import PatternNode, TreePattern
 from repro.queries.path import parse_path
-from repro.queries.plan import (
-    MATCHER_MODES,
-    PatternPlan,
-    indexed_matches,
-    require_matcher_mode,
-)
+from repro.queries.plan import PatternPlan, indexed_matches
 from repro.queries.evaluation import (
     QueryAnswer,
     evaluate_on_datatree,
@@ -41,10 +37,8 @@ __all__ = [
     "PatternNode",
     "TreePattern",
     "parse_path",
-    "MATCHER_MODES",
     "PatternPlan",
     "indexed_matches",
-    "require_matcher_mode",
     "QueryAnswer",
     "evaluate_on_datatree",
     "evaluate_on_pwset",

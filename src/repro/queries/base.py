@@ -82,12 +82,15 @@ class Query(ABC):
     def matches_with(
         self, tree: DataTree, matcher: Optional[str] = None, context=None
     ) -> List[Match]:
-        """Embeddings via a named matcher (``"indexed"`` | ``"naive"``).
+        """Embeddings under *matcher* (``None`` fast path | ``"naive"`` oracle).
 
         Query classes with alternative matching strategies (notably
         :class:`~repro.queries.treepattern.TreePattern`) override this to
         dispatch; the default ignores *matcher* and *context* so ad-hoc query
-        classes only have to implement :meth:`matches`.
+        classes only have to implement :meth:`matches`.  Overrides of
+        :meth:`matches_with`, :meth:`results` and :meth:`result_node_sets`
+        must accept the ``context=`` keyword: the execution context passes
+        itself through it.
         """
         return self.matches(tree)
 
@@ -95,14 +98,10 @@ class Query(ABC):
         self, tree: DataTree, matcher: Optional[str] = None, context=None
     ) -> List[DataTree]:
         """The answer set ``Q(t)``: distinct sub-datatrees induced by matches."""
-        seen: set = set()
-        answers: List[DataTree] = []
-        for match in self.matches_with(tree, matcher, context=context):
-            nodes = match.answer_nodes(tree)
-            if nodes not in seen:
-                seen.add(nodes)
-                answers.append(tree.restrict(nodes))
-        return answers
+        return [
+            tree.restrict(nodes)
+            for nodes in self.result_node_sets(tree, matcher, context=context)
+        ]
 
     def result_node_sets(
         self, tree: DataTree, matcher: Optional[str] = None, context=None

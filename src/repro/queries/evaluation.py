@@ -27,23 +27,24 @@ reference kept as a differential-testing oracle:
   conditions and boolean-query disjunctions intern to stable node ids, so a
   repeated question over an unchanged document is dictionary probes plus an
   integer-keyed memo hit;
-* ``matcher="indexed" | "naive" | "auto"`` — how embeddings are found.
-  ``"indexed"`` (default) goes through the compiled three-stage pipeline of
-  :mod:`repro.queries.plan`: a shared structural **index** over the tree
-  (preorder intervals + label posting lists, :mod:`repro.trees.index`), a
-  bottom-up **plan** (candidate seeding, structural semijoins, join
-  pushdown), then memoized **embedding enumeration**.  ``"naive"`` is the
-  direct backtracking matcher; ``"auto"`` lets the context's cost model pick
-  per pattern.  All return identical match sets, so the semantics of
-  Definitions 6–8 are untouched by the choice.
+* ``matcher=None | "naive"`` — how embeddings are found.  ``None``
+  (default) is the fast path of :mod:`repro.queries.plan`: a bottom-up
+  **plan** (candidate seeding, structural semijoins, join pushdown), then
+  memoized **embedding enumeration**, run against the tree's shared
+  structural **index** (preorder intervals + label posting lists,
+  :mod:`repro.trees.index`) or, for large trees with numpy present, its
+  flat columnar snapshot (:mod:`repro.trees.columnar`).  ``"naive"`` is the
+  direct backtracking matcher.  All return identical match sets, so the
+  semantics of Definitions 6–8 are untouched by the choice.
 
 Per-call resolution precedence is uniform: an explicit string override wins
 over the ``context=`` argument's defaults, which win over the module default
 context (see :func:`repro.core.context.resolve_context`).
 
 The ``*_many`` batch entry points evaluate several queries against one
-prob-tree: the structural index and the probability engine (with its
-memoized formula cache) are resolved once and shared across all queries.
+prob-tree: the probability engine (with its memoized formula cache) is
+resolved once and shared across all queries, and so is the tree's cached
+structural index or column.
 """
 
 from __future__ import annotations
@@ -205,16 +206,12 @@ def evaluate_many(
 ) -> List[List[QueryAnswer]]:
     """Batched Definition 8 evaluation: one answer list per query.
 
-    The shared resources are resolved exactly once for the whole batch: the
-    probability engine (and its memoized formula cache) through the context,
-    and — when the indexed matcher is selected — the structural
-    :class:`~repro.trees.index.TreeIndex` of the underlying data tree, which
-    every per-query plan then reuses.
+    The probability engine (and its memoized formula cache) is resolved once
+    through the context for the whole batch; every per-query plan reuses the
+    tree's cached structural index or column.
     """
     ctx = resolve_context(context, engine=engine, matcher=matcher)
     shared = ctx.engine_for(probtree)
-    if ctx.resolve_matcher() == "indexed":
-        ctx.index_for(probtree.tree)  # build once; plans fetch the cached snapshot
     return [
         ctx.cached_answers(
             query,
@@ -328,13 +325,10 @@ def boolean_probability_many(
 ) -> List[float]:
     """Batched :func:`boolean_probability`.
 
-    Like :func:`evaluate_many`, the structural index is built once up front
-    (for the indexed matcher) and the context's per-probtree formula cache is
-    shared across the whole batch.
+    Like :func:`evaluate_many`, the context's per-probtree formula cache and
+    the tree's cached index or column are shared across the whole batch.
     """
     ctx = resolve_context(context, engine=engine, matcher=matcher)
-    if ctx.resolve_matcher() == "indexed":
-        ctx.index_for(probtree.tree)  # build once; plans fetch the cached snapshot
     return [boolean_probability(query, probtree, context=ctx) for query in queries]
 
 

@@ -1,4 +1,4 @@
-"""Compiled tree-pattern evaluation plans (the ``"indexed"`` matcher).
+"""Compiled tree-pattern evaluation plans (the two fast matchers).
 
 The naive matcher in :mod:`repro.queries.treepattern` backtracks over the
 tree directly: every descendant edge re-walks ``tree.descendants()``, label
@@ -26,14 +26,17 @@ embedding, and the enumeration re-verifies every edge) — so the naive
 matcher is kept as a differential-testing oracle, mirroring the
 ``engine="enumerate"`` convention of :mod:`repro.core.probability`.
 
-:class:`ColumnarPlan` is the third matcher (``matcher="columnar"``): the
-same four stages rebased onto the flat rank-indexed arrays of a
+:class:`ColumnarPlan` is the second fast matcher: the same four stages
+rebased onto the flat rank-indexed arrays of a
 :class:`~repro.trees.columnar.ColumnarTree`, with seeding and the semijoin
 filters vectorized (numpy when available) instead of looping per node.  Its
-differential oracle is ``matcher="indexed"`` — the candidate pruning must
+differential twin is :class:`PatternPlan` — the candidate pruning must
 agree element for element, and the memoized enumeration mirrors the object
 plan exactly (sibling ranks ascend in child insertion order), so the two
-return byte-identical match lists.
+return byte-identical match lists.  Which of the two runs is decided by tree
+size (:meth:`repro.core.context.ExecutionContext.effective_matcher`); call
+the plans (or :func:`indexed_matches` / :func:`columnar_matches`) directly
+to pin one.
 """
 
 from __future__ import annotations
@@ -46,25 +49,6 @@ from repro.trees import columnar as _columnar
 from repro.trees.columnar import ColumnarTree, columnar_tree
 from repro.trees.datatree import DataTree, NodeId
 from repro.trees.index import TreeIndex, tree_index
-from repro.utils.errors import QueryError
-
-#: The matcher modes understood throughout the library.
-MATCHER_MODES = ("indexed", "naive", "columnar")
-
-#: The matcher used when callers do not choose one.
-DEFAULT_MATCHER = "indexed"
-
-
-def require_matcher_mode(mode: Optional[str]) -> str:
-    """Validate a ``matcher=`` argument; ``None`` selects the default."""
-    if mode is None:
-        return DEFAULT_MATCHER
-    if mode not in MATCHER_MODES:
-        raise QueryError(
-            f"unknown matcher {mode!r}; expected one of {MATCHER_MODES}"
-        )
-    return mode
-
 
 def _pattern_postorder(pattern) -> List[int]:
     """Children-before-parents order over pattern nodes (patterns are tiny)."""
@@ -506,9 +490,6 @@ def columnar_matches(pattern, source, stats=None) -> List[Match]:
 
 
 __all__ = [
-    "MATCHER_MODES",
-    "DEFAULT_MATCHER",
-    "require_matcher_mode",
     "PatternPlan",
     "ColumnarPlan",
     "indexed_matches",

@@ -157,17 +157,17 @@ class TreePattern(LocallyMonotoneQuery):
 
         ``matcher`` selects the evaluation strategy:
 
-        * ``"indexed"`` (default) — compile the pattern into a bottom-up plan
-          executed against the tree's shared structural index
-          (:mod:`repro.queries.plan`);
-        * ``"columnar"`` — the same plan shape executed as vectorized
-          interval merges over the tree's cached
-          :class:`~repro.trees.columnar.ColumnarTree` snapshot;
+        * ``None`` (default) — the fast path, chosen by tree size
+          (:meth:`~repro.core.context.ExecutionContext.effective_matcher`):
+          the pattern compiled into a bottom-up plan over the tree's shared
+          structural index (:class:`~repro.queries.plan.PatternPlan`), or,
+          from :data:`~repro.core.context.AUTO_COLUMNAR_NODES` nodes up with
+          numpy present, the same plan shape run as vectorized interval
+          merges over the tree's cached
+          :class:`~repro.trees.columnar.ColumnarTree` snapshot
+          (:class:`~repro.queries.plan.ColumnarPlan`);
         * ``"naive"`` — the direct backtracking matcher below, kept as a
-          differential-testing oracle (mirroring ``engine="enumerate"``);
-        * ``"auto"`` — defer to the context's cost model (columnar for big
-          trees or warm columns, naive for tiny pattern×tree products,
-          indexed otherwise).
+          differential-testing oracle (mirroring ``engine="enumerate"``).
 
         ``context`` (an :class:`~repro.core.context.ExecutionContext`)
         supplies the default mode and collects stats; when omitted, the
@@ -178,7 +178,7 @@ class TreePattern(LocallyMonotoneQuery):
         from repro.queries.plan import ColumnarPlan, PatternPlan
 
         ctx = resolve_context(context)
-        effective = ctx.effective_matcher(self, tree, matcher)
+        effective = ctx.effective_matcher(tree, matcher)
         if effective == "naive":
             return self.matches_naive(tree)
         ctx.note_plan_compiled()

@@ -65,8 +65,8 @@ def top_k_answers(
         minimum_probability: drop answers strictly below this probability
             before ranking (0 keeps everything).
         aggregate_isomorphic: merge isomorphic answer trees before ranking.
-        matcher: embedding strategy (``"indexed"`` | ``"naive"`` |
-            ``"auto"``), see :mod:`repro.queries.evaluation`.
+        matcher: embedding strategy (``None`` for the fast path or
+            ``"naive"``), see :mod:`repro.queries.evaluation`.
         context: the :class:`~repro.core.context.ExecutionContext` to execute
             under (caches, policy); string overrides win over its defaults.
     """

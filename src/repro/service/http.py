@@ -344,12 +344,15 @@ class ServiceFrontend:
         if "query" not in request:
             return 400, {"error": "missing required field 'query'"}
         loop = asyncio.get_running_loop()
-        confidence = float(request.get("confidence", 1.0))
+        confidence = request.get("confidence", 1.0)
+        if isinstance(confidence, bool) or not isinstance(confidence, (int, float)):
+            return 400, {"error": "field 'confidence' must be a number"}
         event = request.get("event")
         name = request.get("name")
         if kind == "insert":
             if "subtree" not in request:
                 return 400, {"error": "insert requires a 'subtree' (XML string)"}
+            # Malformed or non-string XML raises InvalidTreeError: a 400.
             subtree = datatree_from_xml(request["subtree"])
             update = await loop.run_in_executor(
                 None,

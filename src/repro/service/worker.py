@@ -26,11 +26,13 @@ Two details keep the frame stream trustworthy:
   by the time the process dies, so replay-from-sources stays exact.
 
 Workers are long-lived, so streaming corpora benefit directly from
-journal-patched columnar maintenance: under ``matcher="columnar"``/``"auto"``
-an update op followed by a query patches the shard's cached column forward
-instead of rebuilding it, and the ``stats`` op reports the warehouse's
-``columns_patched`` / ``column_rebuilds`` counters over the wire so the
-router's merged view shows the policy working per shard.
+journal-patched index and column maintenance: an update op followed by a
+query patches the shard's cached index (or, on documents large enough for
+the columnar fast path, its column) forward instead of rebuilding it, and
+the ``stats`` op reports the warehouse's counters over the wire
+(``auto_chose_indexed`` / ``auto_chose_columnar``, ``columns_patched`` /
+``column_rebuilds``) so the router's merged view shows the policy working
+per shard.
 
 Run directly (``python -m repro.service.worker``) or through the CLI
 (``python -m repro.cli shard``); the router spawns one per shard.

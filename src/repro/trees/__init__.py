@@ -9,10 +9,12 @@
 * :mod:`repro.trees.builders` — convenient literal-style construction of
   trees from nested tuples;
 * :mod:`repro.trees.index` — structural indexes (preorder intervals, label
-  posting lists, cached depths) backing the compiled query matcher;
+  posting lists, cached depths) backing the compiled query matcher on
+  small and mid-sized trees;
 * :mod:`repro.trees.columnar` — the flat struct-of-arrays snapshot
-  (:class:`ColumnarTree`) behind ``matcher="columnar"``: numpy-backed when
-  available, mmap-able to disk, zero-copy on load.
+  (:class:`ColumnarTree`) behind the vectorized matcher the fast path picks
+  for large trees: numpy-backed when available, mmap-able to disk,
+  zero-copy on load.
 """
 
 from repro.trees.columnar import ColumnarTree, columnar_tree

@@ -20,8 +20,8 @@ preorder rank**:
 Arrays are numpy ``int64`` when numpy is importable and stdlib
 ``array('q')`` otherwise — the same optionality shape as
 :mod:`repro.formulas.sampling` (the library never *requires* numpy, it just
-gets faster with it).  The columnar matcher (``matcher="columnar"``, see
-:class:`repro.queries.plan.ColumnarPlan`) turns the per-node Python loops of
+gets faster with it).  The columnar matcher (the fast path on large trees,
+see :class:`repro.queries.plan.ColumnarPlan`) turns the per-node Python loops of
 candidate seeding and descendant semijoins into vectorized interval merges
 over these arrays.
 
@@ -871,7 +871,7 @@ def columnar_tree(tree: DataTree, stats=None) -> ColumnarTree:
     :data:`~repro.trees.index.PATCH_JOURNAL_LIMIT` entries the replacement
     column is produced by bounded array splices instead of the O(n)
     :meth:`~ColumnarTree.from_tree` rebuild, which is what makes
-    ``matcher="columnar"`` usable on mixed update/query (streaming)
+    the columnar matcher usable on mixed update/query (streaming)
     workloads.  The cache swap leaves previously held handles untouched (and
     stale — see :meth:`~ColumnarTree.require_fresh`).
 

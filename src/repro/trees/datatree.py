@@ -115,17 +115,6 @@ class DataTree:
             return None
         return self._journal[version - self._journal_base :]
 
-    def journal_reaches(self, version: int) -> bool:
-        """Whether the retained journal still covers mutations since *version*.
-
-        O(1): one journal entry is recorded per version bump, so the suffix
-        :meth:`mutations_since` would return has length ``self.version -
-        version`` exactly when this is true.  Cost models (the
-        journal-aware ``matcher="auto"``) size a pending patch from the
-        version arithmetic alone instead of copying the entries out.
-        """
-        return self._journal_base <= version <= self._version
-
     def mutation_touch_since(
         self, version: int
     ) -> Optional[Tuple[FrozenSet[str], FrozenSet[NodeId]]]:

@@ -17,8 +17,20 @@ from repro.trees.datatree import DataTree, NodeId
 from repro.utils.errors import InvalidTreeError
 
 
+def _root_element(text: str) -> ET.Element:
+    """The root element of *text*; malformed or non-text input is typed."""
+    if not isinstance(text, (str, bytes)):
+        raise InvalidTreeError(f"expected XML text, got {type(text).__name__}")
+    try:
+        return ET.fromstring(text)
+    except ET.ParseError as error:
+        raise InvalidTreeError(f"malformed XML: {error}") from error
+
+
 def datatree_from_xml(text: str) -> DataTree:
     """Parse a ``<node>``-rooted XML document into a data tree.
+
+    Malformed XML raises :class:`~repro.utils.errors.InvalidTreeError`.
 
     Ingests through :meth:`DataTree.add_subtree_bulk` — one flat preorder
     batch instead of one :meth:`~DataTree.add_child` call per element — so
@@ -26,7 +38,7 @@ def datatree_from_xml(text: str) -> DataTree:
     overhead.  Identifiers, structure and the mutation journal are exactly
     what the per-node path produced.
     """
-    element = ET.fromstring(text)
+    element = _root_element(text)
     if element.tag != "node":
         raise InvalidTreeError(f"expected a <node> root element, got <{element.tag}>")
     tree = DataTree(element.get("label", ""))
@@ -46,8 +58,11 @@ def datatree_from_xml(text: str) -> DataTree:
 
 
 def probtree_from_xml(text: str) -> ProbTree:
-    """Parse a ``<probtree>`` document into a prob-tree."""
-    element = ET.fromstring(text)
+    """Parse a ``<probtree>`` document into a prob-tree.
+
+    Malformed XML raises :class:`~repro.utils.errors.InvalidTreeError`.
+    """
+    element = _root_element(text)
     if element.tag != "probtree":
         raise InvalidTreeError(
             f"expected a <probtree> root element, got <{element.tag}>"
@@ -60,7 +75,12 @@ def probtree_from_xml(text: str) -> ProbTree:
             probability = event.get("probability")
             if name is None or probability is None:
                 raise InvalidTreeError("<event> elements need name and probability")
-            probabilities[name] = float(probability)
+            try:
+                probabilities[name] = float(probability)
+            except ValueError:
+                raise InvalidTreeError(
+                    f"<event> {name!r} has a non-numeric probability {probability!r}"
+                ) from None
 
     node_element = element.find("node")
     if node_element is None:

@@ -114,31 +114,45 @@ class TestCommands:
         code, _output = _run(["stats", str(tmp_path / "missing.xml")])
         assert code == 2
 
+    @pytest.mark.parametrize("command", [["stats"], ["query", "/a"]])
+    def test_malformed_xml_is_a_typed_error(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.xml"
+        bad.write_text("<a><b></a>")
+        code, output = _run([command[0], str(bad), *command[1:]])
+        assert code == 2
+        assert output == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed XML")
+        assert "Traceback" not in err
+
 
 class TestMatcherFlag:
     def test_matcher_choices_rejected_early(self, warehouse_file):
         with pytest.raises(SystemExit):
             _run(["query", warehouse_file, "/catalog/movie", "--matcher", "guess"])
 
+    @pytest.mark.parametrize("name", ["indexed", "columnar", "auto"])
+    def test_retired_matcher_names_exit_2(self, warehouse_file, name, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            _run(["query", warehouse_file, "/catalog/movie", "--matcher", name])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_query_same_under_both_matchers(self, warehouse_file):
-        code_indexed, out_indexed = _run(
-            ["query", warehouse_file, "/catalog/movie", "--matcher", "indexed"]
-        )
+        code_fast, out_fast = _run(["query", warehouse_file, "/catalog/movie"])
         code_naive, out_naive = _run(
             ["query", warehouse_file, "/catalog/movie", "--matcher", "naive"]
         )
-        assert code_indexed == code_naive == 0
-        assert out_indexed == out_naive
+        assert code_fast == code_naive == 0
+        assert out_fast == out_naive
 
     def test_probability_same_under_both_matchers(self, warehouse_file):
-        code_indexed, out_indexed = _run(
-            ["probability", warehouse_file, "//title", "--matcher", "indexed"]
-        )
+        code_fast, out_fast = _run(["probability", warehouse_file, "//title"])
         code_naive, out_naive = _run(
             ["probability", warehouse_file, "//title", "--matcher", "naive"]
         )
-        assert code_indexed == code_naive == 0
-        assert out_indexed == out_naive
+        assert code_fast == code_naive == 0
+        assert out_fast == out_naive
 
 
 class TestEngineFlag:

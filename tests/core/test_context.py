@@ -2,8 +2,9 @@
 
 import pytest
 
+import repro.trees.columnar as columnar_module
 from repro.core.context import (
-    AUTO_NAIVE_COST,
+    AUTO_COLUMNAR_NODES,
     ContextStats,
     ExecutionContext,
     default_context,
@@ -16,8 +17,10 @@ from repro.queries.evaluation import (
     evaluate_on_probtree,
 )
 from repro.queries.path import parse_path
-from repro.queries.treepattern import TreePattern, descendant_anywhere
+from repro.queries.plan import columnar_matches, indexed_matches
+from repro.queries.treepattern import EDGE_DESCENDANT, TreePattern, descendant_anywhere
 from repro.trees.builders import tree
+from repro.trees.columnar import have_numpy
 from repro.utils.errors import QueryError
 from repro.workloads.random_probtrees import random_probtree
 from repro.workloads.random_queries import random_matching_pattern
@@ -35,23 +38,36 @@ class TestModeResolution:
     def test_defaults(self):
         context = ExecutionContext()
         assert context.engine == "formula"
-        assert context.matcher == "indexed"
+        assert context.matcher is None
 
     def test_invalid_modes_rejected(self):
         with pytest.raises(QueryError):
             ExecutionContext(engine="guess")
         with pytest.raises(QueryError):
-            ExecutionContext(matcher="guess")
-        with pytest.raises(QueryError):
             ExecutionContext().resolve_engine("guess")
-        with pytest.raises(QueryError):
-            ExecutionContext().resolve_matcher("guess")
 
-    def test_auto_is_a_valid_context_matcher(self):
-        assert ExecutionContext(matcher="auto").matcher == "auto"
+    @pytest.mark.parametrize("name", ["indexed", "columnar", "auto", "guess"])
+    def test_only_the_fast_path_and_naive_are_matchers(self, name):
+        """The fast path is chosen by size; no fast matcher is selectable."""
+        assert ExecutionContext(matcher="naive").matcher == "naive"
+        with pytest.raises(QueryError, match="unknown matcher"):
+            ExecutionContext(matcher=name)
+        with pytest.raises(QueryError):
+            ExecutionContext().resolve_matcher(name)
+        with pytest.raises(QueryError):
+            ExecutionContext().with_modes(matcher=name)
+        with pytest.raises(QueryError):
+            descendant_anywhere("A").matches(tree("A"), matcher=name)
+        with pytest.raises(QueryError):
+            ProbXMLWarehouse("catalog", matcher=name)
+        with pytest.raises(QueryError):
+            evaluate_on_probtree(
+                parse_path("//A"), random_probtree(node_count=5, event_count=2, seed=1),
+                matcher=name,
+            )
 
     def test_with_modes_shares_caches(self):
-        context = ExecutionContext(engine="formula", matcher="indexed")
+        context = ExecutionContext(engine="formula")
         view = context.with_modes(engine="enumerate", matcher="naive")
         assert view.engine == "enumerate"
         assert view.matcher == "naive"
@@ -61,11 +77,11 @@ class TestModeResolution:
         assert context.with_modes() is context
 
     def test_resolve_context_precedence(self):
-        session = ExecutionContext(engine="enumerate", matcher="naive")
+        session = ExecutionContext(engine="enumerate")
         # 1. string overrides beat the explicit context's defaults …
-        resolved = resolve_context(session, engine="formula", matcher="indexed")
+        resolved = resolve_context(session, engine="formula", matcher="naive")
         assert resolved.engine == "formula"
-        assert resolved.matcher == "indexed"
+        assert resolved.matcher == "naive"
         assert resolved.shares_caches_with(session)
         # 2. … the explicit context beats the module default …
         assert resolve_context(session) is session
@@ -92,9 +108,9 @@ class TestModeResolution:
         # must agree numerically, and overrides must not disturb the default.
         assert warehouse.probability("/catalog/movie") == pytest.approx(expected)
         assert warehouse.probability(
-            "/catalog/movie", engine="formula", matcher="indexed"
+            "/catalog/movie", engine="formula"
         ) == pytest.approx(expected)
-        override = ExecutionContext(engine="formula", matcher="indexed")
+        override = ExecutionContext(engine="formula")
         assert warehouse.probability(
             "/catalog/movie", context=override
         ) == pytest.approx(expected)
@@ -107,101 +123,98 @@ class TestModeResolution:
             warehouse.engine = "guess"
         with pytest.raises(QueryError):
             warehouse.matcher = "guess"
-        warehouse.matcher = "auto"  # now a legal warehouse-level mode
-        assert warehouse.matcher == "auto"
+        with pytest.raises(QueryError):
+            warehouse.matcher = "auto"
+        warehouse.matcher = "naive"
+        assert warehouse.matcher == "naive"
+        warehouse.matcher = None  # back to the fast path
+        assert warehouse.matcher is None
         assert warehouse.probability("/catalog/movie") == pytest.approx(1 - 0.2 * 0.4)
 
 
-class TestAutoMatcher:
+def _sized_tree(nodes: int):
+    """A *nodes*-node document holding a few rare ``Q`` leaves."""
+    doc = random_datatree(nodes - 3, seed=nodes)
+    for parent in (doc.root, next(iter(doc.children(doc.root))), doc.root):
+        doc.add_child(parent, "Q")
+    return doc
+
+
+@pytest.fixture(params=["numpy", "fallback"])
+def backend(request, monkeypatch):
+    """Run under the numpy backend (skipped when absent) and the fallback."""
+    if request.param == "numpy":
+        if not have_numpy():
+            pytest.skip("numpy is not installed")
+    else:
+        monkeypatch.setattr(columnar_module, "_np", None)
+    return request.param
+
+
+class TestFastPathRule:
+    """One fast path, chosen by backend and tree size; naive is the oracle."""
+
+    @pytest.mark.parametrize(
+        "nodes, choice_with_numpy",
+        [(2_000, "indexed"), (7_600, "indexed"), (30_000, "columnar")],
+    )
+    def test_choice_is_a_function_of_backend_and_size(
+        self, backend, nodes, choice_with_numpy
+    ):
+        doc = _sized_tree(nodes)
+        assert doc.node_count() == nodes
+        expected = choice_with_numpy if backend == "numpy" else "indexed"
+        context = ExecutionContext()
+        pattern = descendant_anywhere("Q")
+        # Warm caches do not sway it: build both structures first.
+        indexed_matches(pattern, doc)
+        columnar_matches(pattern, doc)
+        assert context.effective_matcher(doc) == expected
+        assert context.with_modes(matcher="naive").effective_matcher(doc) == "naive"
+        assert context.stats.auto_chose_columnar == (expected == "columnar")
+        assert context.stats.auto_chose_indexed == (expected == "indexed")
+
+    def test_answers_identical_on_either_side_of_the_threshold(self, backend):
+        doc = _sized_tree(AUTO_COLUMNAR_NODES - 1)
+        pattern = TreePattern("*")
+        pattern.add_child(pattern.root, "Q", edge=EDGE_DESCENDANT)
+        context = ExecutionContext()
+        below = pattern.matches(doc, context=context)
+        assert below == indexed_matches(pattern, doc) == columnar_matches(pattern, doc)
+        doc.add_child(doc.root, "Q")  # crosses AUTO_COLUMNAR_NODES
+        above = pattern.matches(doc, context=context)
+        columnar = backend == "numpy"
+        assert context.stats.auto_chose_indexed == 2 - columnar
+        assert context.stats.auto_chose_columnar == columnar
+        assert len(above) == len(below) + 1
+        assert above == indexed_matches(pattern, doc) == columnar_matches(pattern, doc)
+        assert set(above) == set(pattern.matches(doc, matcher="naive"))
+
     @pytest.mark.parametrize("seed", range(40))
-    def test_auto_agrees_with_both_fixed_matchers(self, seed):
-        """The cost-model choice must be observationally invisible."""
+    def test_fast_path_agrees_with_naive(self, seed):
+        """The fast-path choice must be observationally invisible."""
         size = 1 + (seed * 11) % 150
         doc = random_datatree(size, seed=seed)
         pattern, _ = random_matching_pattern(
             doc, seed=seed, wildcard_probability=0.3, descendant_probability=0.4
         )
-        context = ExecutionContext(matcher="auto")
-        auto = pattern.matches(doc, context=context)
+        fast = pattern.matches(doc, context=ExecutionContext())
         naive = pattern.matches(doc, matcher="naive")
-        indexed = pattern.matches(doc, matcher="indexed")
-        assert set(auto) == set(naive) == set(indexed)
-        assert len(auto) == len(naive) == len(indexed)
+        assert fast == indexed_matches(pattern, doc) == columnar_matches(pattern, doc)
+        assert set(fast) == set(naive)
+        assert len(fast) == len(naive)
 
-    def test_auto_picks_naive_on_tiny_products(self):
-        doc = random_datatree(10, seed=1)
-        assert doc._index_cache is None
-        pattern = descendant_anywhere("A")
-        context = ExecutionContext(matcher="auto")
-        assert pattern.node_count() * doc.node_count() <= AUTO_NAIVE_COST
-        assert context.effective_matcher(pattern, doc) == "naive"
-        assert context.stats.auto_chose_naive == 1
-
-    def test_auto_picks_indexed_on_large_products(self):
-        doc = random_datatree(600, seed=2)
-        pattern = descendant_anywhere("A")
-        context = ExecutionContext(matcher="auto")
-        assert context.effective_matcher(pattern, doc) == "indexed"
-        assert context.stats.auto_chose_indexed == 1
-
-    def test_auto_prefers_a_fresh_cached_index(self):
-        doc = random_datatree(10, seed=3)
-        context = ExecutionContext(matcher="auto")
-        pattern = descendant_anywhere("A")
-        context.index_for(doc)  # sunk cost: the index exists and is fresh
-        assert context.effective_matcher(pattern, doc) == "indexed"
-
-    def test_auto_treats_a_patchable_stale_index_as_almost_fresh(self):
-        # Journal-aware cost model: a stale index whose pending journal fits
-        # under PATCH_JOURNAL_LIMIT will be patched, not rebuilt, so even a
-        # tiny pattern×tree product keeps the compiled plans.
-        from repro.trees.index import PATCH_JOURNAL_LIMIT
-
-        doc = random_datatree(10, seed=3)
-        context = ExecutionContext(matcher="auto")
-        pattern = descendant_anywhere("A")
-        context.index_for(doc)
-        doc.add_child(doc.root, "Z")  # stale, one journal entry: patchable
-        assert context.effective_matcher(pattern, doc) == "indexed"
-        # Push the journal past the patch threshold: the cost model must fall
-        # back to assuming a full rebuild, and the tiny product goes naive.
-        for _ in range(PATCH_JOURNAL_LIMIT + 1):
-            doc.add_child(doc.root, "Z")
-        assert context.effective_matcher(pattern, doc) == "naive"
-
-    def test_auto_patchable_index_differential(self):
-        # The journal-aware decision must not change results: evaluate the
-        # same query under auto (with a stale-but-patchable index) and under
-        # both fixed matchers.
-        doc = random_datatree(60, seed=11)
-        pattern = descendant_anywhere("A")
-        context = ExecutionContext(matcher="auto")
-        context.index_for(doc)
-        doc.add_child(doc.root, "A")  # stale but patchable
-        auto = pattern.matches(doc, context=context)
-        naive = pattern.matches(doc, matcher="naive")
-        indexed = pattern.matches(doc, matcher="indexed")
-        assert set(auto) == set(naive) == set(indexed)
-        assert len(auto) == len(naive) == len(indexed)
-
-    def test_fixed_override_bypasses_the_cost_model(self):
-        doc = random_datatree(10, seed=4)
-        context = ExecutionContext(matcher="auto")
-        assert context.effective_matcher(descendant_anywhere("A"), doc, "indexed") == "indexed"
-        assert context.stats.auto_chose_naive == 0
-        assert context.stats.auto_chose_indexed == 0
-
-    def test_auto_counts_one_decision_per_evaluation_none_on_hits(self):
+    def test_one_decision_per_evaluation_none_on_hits(self):
         probtree = random_probtree(node_count=20, event_count=4, seed=5)
-        context = ExecutionContext(matcher="auto")
+        context = ExecutionContext()
         query = parse_path("//A")
         evaluate_on_probtree(query, probtree, context=context)
-        decisions = context.stats.auto_chose_naive + context.stats.auto_chose_indexed
+        decisions = context.stats.auto_chose_indexed + context.stats.auto_chose_columnar
         assert decisions == 1  # cache-key resolution must not double-count
         evaluate_on_probtree(query, probtree, context=context)
         assert context.stats.answer_cache_hits == 1
         assert (
-            context.stats.auto_chose_naive + context.stats.auto_chose_indexed
+            context.stats.auto_chose_indexed + context.stats.auto_chose_columnar
             == decisions  # a pure cache hit runs no matching → no decision
         )
 
@@ -243,10 +256,10 @@ class TestAnswerSetCache:
         probtree = random_probtree(node_count=40, event_count=6, seed=9)
         context = ExecutionContext()
         query = parse_path("//A")
-        indexed = evaluate_on_probtree(query, probtree, matcher="indexed", context=context)
+        fast = evaluate_on_probtree(query, probtree, context=context)
         naive = evaluate_on_probtree(query, probtree, matcher="naive", context=context)
         assert context.stats.answer_cache_misses == 2
-        assert {round(a.probability, 9) for a in indexed} == {
+        assert {round(a.probability, 9) for a in fast} == {
             round(a.probability, 9) for a in naive
         }
 
@@ -278,28 +291,6 @@ class TestAnswerSetCache:
         evaluate_on_probtree(OpaqueQuery(), probtree, context=context)
         assert context.stats.answer_cache_hits == 0
         assert context.stats.answer_cache_misses == 0
-
-    def test_oldest_style_overrides_without_matcher_kwarg_still_work(self):
-        """Pre-matcher-era subclasses override results/result_node_sets(tree)."""
-        from repro.queries.base import Match, Query
-
-        class AncientQuery(Query):
-            def matches(self, tree):
-                return [Match.from_dict({0: tree.root})]
-
-            def result_node_sets(self, tree):
-                return [frozenset({tree.root})]
-
-            def results(self, tree):
-                return [tree.restrict({tree.root})]
-
-        probtree = random_probtree(node_count=8, event_count=2, seed=14)
-        context = ExecutionContext()
-        answers = evaluate_on_probtree(AncientQuery(), probtree, context=context)
-        assert len(answers) == 1
-        from repro.queries.evaluation import evaluate_on_datatree
-
-        assert len(evaluate_on_datatree(AncientQuery(), probtree.tree)) == 1
 
     def test_default_context_returns_fresh_answer_trees(self):
         """Anonymous legacy callers must never receive cache-aliased trees."""

@@ -46,11 +46,11 @@ class TestQueries:
     def test_matcher_modes_agree(self, catalog):
         from repro.utils.errors import QueryError
 
-        assert catalog.matcher == "indexed"
-        indexed = catalog.query("/catalog/movie/title")
+        assert catalog.matcher is None
+        fast = catalog.query("/catalog/movie/title")
         catalog.matcher = "naive"
         naive = catalog.query("/catalog/movie/title")
-        assert {round(a.probability, 2) for a in indexed} == {
+        assert {round(a.probability, 2) for a in fast} == {
             round(a.probability, 2) for a in naive
         }
         assert catalog.probability("/catalog/movie") == pytest.approx(1 - 0.2 * 0.4)

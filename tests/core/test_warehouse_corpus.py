@@ -178,10 +178,11 @@ class TestCorpusQueries:
         assert [len(answers) for answers in batched] == [1, 1]
 
     def test_shared_context_construction(self):
-        session = ExecutionContext(matcher="auto")
+        session = ExecutionContext(engine="enumerate")
         warehouse = ProbXMLWarehouse("catalog", context=session)
         assert warehouse.context.shares_caches_with(session)
-        assert warehouse.matcher == "auto"
+        assert warehouse.engine == "enumerate"
+        assert warehouse.matcher is None
         # Legacy string kwargs override the supplied context's modes but
         # keep its caches.
         other = ProbXMLWarehouse("catalog", context=session, matcher="naive")

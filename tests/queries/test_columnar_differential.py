@@ -2,10 +2,9 @@
 
 The vectorized :class:`~repro.queries.plan.ColumnarPlan` must return a match
 list *byte-identical* to :class:`~repro.queries.plan.PatternPlan` — same
-matches, same order — with ``matcher="indexed"`` serving as the differential
-oracle per the fast-default/slow-oracle convention (and ``"naive"`` as the
-deeper set-level oracle behind both).  These sweeps mirror the
-indexed-vs-naive harness: seeded random tree/query pairs with wildcards,
+matches, same order — with the indexed plan serving as the differential
+twin (and ``matcher="naive"`` as the set-level oracle behind both).  These
+sweeps mirror the indexed-vs-naive harness: seeded random tree/query pairs with wildcards,
 descendant edges, joins and branching, plus deep chains, the pure-Python
 fallback backend, and save/load'ed columns.  Well over 200 cases in total.
 """
@@ -15,8 +14,7 @@ import random
 import pytest
 
 import repro.trees.columnar as columnar_module
-from repro.core.context import ExecutionContext
-from repro.queries.plan import ColumnarPlan, columnar_matches
+from repro.queries.plan import ColumnarPlan, columnar_matches, indexed_matches
 from repro.queries.treepattern import (
     EDGE_DESCENDANT,
     TreePattern,
@@ -31,20 +29,18 @@ pytestmark = pytest.mark.differential
 
 
 def _assert_columnar_agrees(pattern, tree):
-    indexed = pattern.matches(tree, matcher="indexed")
-    columnar = pattern.matches(tree, matcher="columnar")
+    indexed = indexed_matches(pattern, tree)
+    columnar = columnar_matches(pattern, tree)
     # Byte-identical: the same Match objects in the same enumeration order,
     # not merely the same set.
     assert columnar == indexed
     naive = pattern.matches(tree, matcher="naive")
     assert len(naive) == len(columnar)
     assert set(naive) == set(columnar)
-    assert set(pattern.result_node_sets(tree, matcher="columnar")) == set(
-        pattern.result_node_sets(tree, matcher="indexed")
+    assert {match.answer_nodes(tree) for match in columnar} == set(
+        pattern.result_node_sets(tree, matcher="naive")
     )
-    assert pattern.selects(tree, matcher="columnar") == pattern.selects(
-        tree, matcher="naive"
-    )
+    assert bool(columnar) == pattern.selects(tree, matcher="naive")
     return len(columnar)
 
 
@@ -147,9 +143,7 @@ class TestFallbackBackend:
             branch_probability=0.3,
         )
         column = ColumnarTree.from_tree(tree)
-        assert ColumnarPlan(pattern, column).matches() == pattern.matches(
-            tree, matcher="indexed"
-        )
+        assert ColumnarPlan(pattern, column).matches() == indexed_matches(pattern, tree)
 
     def test_fallback_joins_agree(self, monkeypatch):
         monkeypatch.setattr(columnar_module, "_np", None)
@@ -159,9 +153,7 @@ class TestFallbackBackend:
         right = pattern.add_child(pattern.root, "*", edge=EDGE_DESCENDANT)
         pattern.add_join(left, right)
         column = ColumnarTree.from_tree(tree)
-        assert ColumnarPlan(pattern, column).matches() == pattern.matches(
-            tree, matcher="indexed"
-        )
+        assert ColumnarPlan(pattern, column).matches() == indexed_matches(pattern, tree)
 
 
 class TestLoadedColumns:
@@ -174,26 +166,14 @@ class TestLoadedColumns:
         path = tmp_path / f"doc{seed}.col"
         ColumnarTree.from_tree(tree).save(path)
         loaded = ColumnarTree.load(path)
-        assert columnar_matches(pattern, loaded) == pattern.matches(
-            tree, matcher="indexed"
-        )
+        assert columnar_matches(pattern, loaded) == indexed_matches(pattern, tree)
 
 
 class TestDispatchIntegration:
-    def test_auto_uses_a_warm_column(self):
-        tree = random_datatree(90, seed=7)
-        pattern, _ = random_matching_pattern(tree, seed=7)
-        expected = pattern.matches(tree, matcher="indexed")
-        context = ExecutionContext(matcher="auto")
-        columnar_tree(tree)  # warm: auto should now pick columnar
-        assert pattern.matches(tree, context=context) == expected
-        if columnar_module._np is not None:
-            assert context.stats.auto_chose_columnar == 1
-
     def test_columnar_matches_accepts_trees_and_columns(self):
         tree = random_datatree(50, seed=8)
         pattern, _ = random_matching_pattern(tree, seed=8)
-        expected = pattern.matches(tree, matcher="indexed")
+        expected = indexed_matches(pattern, tree)
         assert columnar_matches(pattern, tree) == expected
         assert columnar_matches(pattern, columnar_tree(tree)) == expected
 

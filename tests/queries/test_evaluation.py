@@ -49,9 +49,9 @@ class TestOnPWSets:
         original_results = type(query).results
 
         class CountingQuery(type(query)):
-            def results(self, data_tree, matcher=None):
+            def results(self, data_tree, matcher=None, context=None):
                 evaluations.append(data_tree)
-                return original_results(self, data_tree, matcher=matcher)
+                return original_results(self, data_tree, matcher=matcher, context=context)
 
         counting = CountingQuery("A")
         counting.add_child(counting.root, "B")
@@ -106,10 +106,10 @@ class TestMatcherThreading:
         queries = [root_has_child("A", "B"), child_chain(["A", "C", "D"]), parse_path("//D")]
         for query in queries:
             assert answers_isomorphic(
-                evaluate_on_probtree(query, figure1, matcher="indexed"),
+                evaluate_on_probtree(query, figure1),
                 evaluate_on_probtree(query, figure1, matcher="naive"),
             )
-        batched = evaluate_many(queries, figure1, matcher="indexed")
+        batched = evaluate_many(queries, figure1)
         singly = [evaluate_on_probtree(q, figure1, matcher="naive") for q in queries]
         for left, right in zip(batched, singly):
             assert answers_isomorphic(left, right)
@@ -118,7 +118,7 @@ class TestMatcherThreading:
         from repro.queries.evaluation import boolean_probability_many
 
         queries = [parse_path("/A/C/D"), parse_path("/A/Z"), parse_path("//B")]
-        batched = boolean_probability_many(queries, figure1, matcher="indexed")
+        batched = boolean_probability_many(queries, figure1)
         looped = [boolean_probability(q, figure1, matcher="naive") for q in queries]
         assert batched == pytest.approx(looped)
 

@@ -13,6 +13,7 @@ import random
 import pytest
 
 from repro.core.context import ExecutionContext
+from repro.queries.plan import indexed_matches
 from repro.queries.treepattern import (
     EDGE_DESCENDANT,
     TreePattern,
@@ -27,21 +28,19 @@ pytestmark = pytest.mark.differential
 
 def _assert_matchers_agree(pattern, tree):
     naive = pattern.matches(tree, matcher="naive")
-    indexed = pattern.matches(tree, matcher="indexed")
-    # The cost-model matcher must be observationally identical to both fixed
-    # modes, whichever it picks (fresh context per call so the choice is
-    # driven by this tree/pattern pair alone).
-    auto = pattern.matches(tree, context=ExecutionContext(matcher="auto"))
+    indexed = indexed_matches(pattern, tree)
+    # The fast path must be observationally identical to the indexed plan
+    # and the oracle, whichever structure it picks (fresh context per call
+    # so the choice is driven by this tree alone).
+    fast = pattern.matches(tree, context=ExecutionContext())
     # Embeddings are distinct mappings, so set identity plus equal length is
     # multiset identity.
-    assert len(naive) == len(indexed) == len(auto)
-    assert set(naive) == set(indexed) == set(auto)
+    assert len(naive) == len(indexed) == len(fast)
+    assert set(naive) == set(indexed) == set(fast)
     assert set(pattern.result_node_sets(tree, matcher="naive")) == set(
-        pattern.result_node_sets(tree, matcher="indexed")
+        pattern.result_node_sets(tree)
     )
-    assert pattern.selects(tree, matcher="naive") == pattern.selects(
-        tree, matcher="indexed"
-    )
+    assert pattern.selects(tree, matcher="naive") == pattern.selects(tree)
     return len(naive)
 
 

@@ -10,7 +10,7 @@ the candidates it actually filters.
 
 from __future__ import annotations
 
-from repro.queries.plan import PatternPlan
+from repro.queries.plan import PatternPlan, indexed_matches
 from repro.queries.treepattern import EDGE_DESCENDANT, TreePattern
 from repro.trees.index import tree_index
 from repro.workloads import random_datatree
@@ -66,7 +66,7 @@ class TestWildcardSeedSharing:
     def test_shared_seeds_still_match_correctly(self):
         tree = random_datatree(250, seed=2)
         pattern, _ = _wildcard_heavy_pattern()
-        fast = pattern.matches(tree, matcher="indexed")
+        fast = indexed_matches(pattern, tree)
         oracle = pattern.matches_naive(tree)
         assert sorted(fast, key=repr) == sorted(oracle, key=repr)
 

@@ -209,6 +209,52 @@ class TestErrorPaths:
         assert status == 400
         assert "subtree" in payload["error"]
 
+    @pytest.mark.parametrize(
+        "fields, fragment",
+        [
+            ({"confidence": "high"}, "confidence"),
+            ({"confidence": True}, "confidence"),
+            ({"confidence": None}, "confidence"),
+            ({"subtree": '<node label="D">'}, "malformed XML"),
+            ({"subtree": 42}, "expected XML text"),
+            ({"subtree": {"label": "D"}}, "expected XML text"),
+        ],
+    )
+    def test_bad_update_fields_are_a_400(self, service, fields, fragment):
+        warehouse, frontend = service
+        request = {
+            "kind": "insert",
+            "query": "/A",
+            "subtree": '<node label="E"/>',
+            "name": "beta",
+            **fields,
+        }
+        before = warehouse.probability("/A/E", name="beta")
+        status, payload = _request(frontend, "POST", "/update", request)
+        assert status == 400
+        assert fragment in payload["error"]
+        assert warehouse.probability("/A/E", name="beta") == before
+
+    @pytest.mark.parametrize("path", ["/query", "/probability"])
+    @pytest.mark.parametrize("matcher", ["indexed", "columnar", "auto"])
+    def test_retired_matcher_names_are_a_typed_400(self, service, path, matcher):
+        _, frontend = service
+        status, payload = _request(
+            frontend, "POST", path, {"query": "/A/C", "name": "beta", "matcher": matcher}
+        )
+        assert status == 400
+        assert payload["type"] == "QueryError"
+        assert "unknown matcher" in payload["error"]
+
+    @pytest.mark.parametrize("path", ["/query", "/probability"])
+    def test_naive_matcher_answers_like_the_fast_path(self, service, path):
+        _, frontend = service
+        request = {"query": "/A/C", "name": "beta"}
+        fast = _request(frontend, "POST", path, request)
+        naive = _request(frontend, "POST", path, {**request, "matcher": "naive"})
+        assert fast[0] == naive[0] == 200
+        assert fast[1] == naive[1]
+
     def test_unknown_endpoint_404(self, service):
         _, frontend = service
         status, payload = _request(frontend, "GET", "/nope")

@@ -7,13 +7,12 @@ rebuild.  After **every** mutation of 200+ seeded update sequences the
 patched column must be byte-identical (every array, the label table and the
 version stamp) to the rebuild, on both the numpy and the pure-Python
 fallback backends, and :class:`ColumnarPlan` answers over the patched
-column must equal ``matcher="indexed"``.
+column must equal the indexed :class:`PatternPlan`.
 
 Also pinned here: the copy-on-patch staleness contract (held handles stay
 immutable and keep raising :class:`StaleColumnarTreeError`), the
-``columnar.patch`` fault site (poison-on-fault → rebuild), the
-``columns_patched`` / ``column_rebuilds`` counters, and the journal-aware
-``matcher="auto"`` warm-column policy.
+``columnar.patch`` fault site (poison-on-fault → rebuild) and the
+``columns_patched`` / ``column_rebuilds`` counters.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import random
 import pytest
 
 import repro.trees.columnar as columnar_module
-from repro.core.context import ContextStats, ExecutionContext
+from repro.core.context import ContextStats
 from repro.queries.plan import ColumnarPlan, PatternPlan
 from repro.queries.treepattern import EDGE_DESCENDANT, TreePattern
 from repro.trees.columnar import PATCH_JOURNAL_LIMIT, ColumnarTree, columnar_tree
@@ -196,7 +195,7 @@ class TestFaultInjection:
         assert plan.hits.get("columnar.patch") == 3
 
 
-class TestCountersAndAutoPolicy:
+class TestCounters:
     def test_patch_and_rebuild_counters(self, backend):
         stats = ContextStats()
         tree = _grown_tree(random.Random(13))
@@ -209,28 +208,3 @@ class TestCountersAndAutoPolicy:
             tree.add_child(tree.root, "B")
         columnar_tree(tree, stats)
         assert (stats.column_rebuilds, stats.columns_patched) == (2, 1)
-
-    def test_auto_treats_patchable_column_as_warm(self, backend):
-        tree = _grown_tree(random.Random(14))
-        context = ExecutionContext(matcher="auto")
-        pattern = _pattern()
-        columnar_tree(tree)
-        tree.add_child(tree.root, "A")  # stale by one journal entry
-        choice = context.effective_matcher(pattern, tree)
-        if backend == "numpy":
-            assert choice == "columnar"
-            assert context.stats.auto_chose_columnar == 1
-        else:
-            assert choice != "columnar"
-
-    def test_auto_falls_back_past_the_patch_limit(self, backend):
-        if backend != "numpy":
-            pytest.skip("auto only picks columnar with numpy")
-        tree = _grown_tree(random.Random(15))
-        context = ExecutionContext(matcher="auto")
-        columnar_tree(tree)
-        for _ in range(PATCH_JOURNAL_LIMIT + 1):
-            tree.add_child(tree.root, "A")
-        # Past the limit the column is cold again; the tree is far below
-        # AUTO_COLUMNAR_NODES, so auto must not choose columnar.
-        assert context.effective_matcher(_pattern(), tree) != "columnar"

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.core.context as context_module
 import repro.trees.columnar as columnar_module
 from repro.core.engine import ProbXMLWarehouse
 from repro.queries.plan import ColumnarPlan, PatternPlan
@@ -39,7 +40,7 @@ def _title_pattern() -> TreePattern:
     return pattern
 
 
-def _answers(warehouse: ProbXMLWarehouse, matcher: str):
+def _answers(warehouse: ProbXMLWarehouse, matcher=None):
     return {
         (round(answer.probability, 6), str(answer.tree.to_nested()))
         for answer in warehouse.query(_title_pattern(), matcher=matcher)
@@ -47,7 +48,9 @@ def _answers(warehouse: ProbXMLWarehouse, matcher: str):
 
 
 @pytest.fixture
-def catalog():
+def catalog(backend, monkeypatch):
+    """A small warehouse whose fast path is columnar wherever numpy is."""
+    monkeypatch.setattr(context_module, "AUTO_COLUMNAR_NODES", 0)
     warehouse = ProbXMLWarehouse("catalog")
     warehouse.insert(
         "/catalog", build_tree("movie", build_tree("title", "Solaris")), confidence=0.8
@@ -60,24 +63,26 @@ def catalog():
 
 class TestWarehouseReplacements:
     def test_clean_replacement_serves_fresh_column(self, backend, catalog):
-        assert _answers(catalog, "columnar") == _answers(catalog, "naive")
+        assert _answers(catalog) == _answers(catalog, "naive")
         catalog.delete("/catalog/movie/title", confidence=0.9)
         catalog.clean()
-        assert _answers(catalog, "columnar") == _answers(catalog, "naive")
+        assert _answers(catalog) == _answers(catalog, "naive")
 
     def test_prune_below_serves_fresh_column(self, backend, catalog):
-        assert _answers(catalog, "columnar") == _answers(catalog, "naive")
+        assert _answers(catalog) == _answers(catalog, "naive")
         # Thresholding re-encodes the document wholesale (fresh node ids);
         # a column cached for the old tree must not leak through.
         catalog.prune_below(0.3)
-        assert _answers(catalog, "columnar") == _answers(catalog, "naive")
+        assert _answers(catalog) == _answers(catalog, "naive")
 
     def test_update_replacement_serves_fresh_column(self, backend, catalog):
-        assert _answers(catalog, "columnar") == _answers(catalog, "naive")
+        assert _answers(catalog) == _answers(catalog, "naive")
         catalog.insert(
             "/catalog", build_tree("movie", build_tree("title", "Mirror")), confidence=0.7
         )
-        assert _answers(catalog, "columnar") == _answers(catalog, "naive")
+        assert _answers(catalog) == _answers(catalog, "naive")
+        columnar = catalog.stats.auto_chose_columnar
+        assert columnar > 0 if backend == "numpy" else columnar == 0
 
 
 class TestDerivedTreesStartCold:

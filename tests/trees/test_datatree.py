@@ -215,25 +215,3 @@ class TestProperties:
         rebuilt = DataTree.from_nested(t.to_nested())
         assert rebuilt.to_nested() == t.to_nested()
         assert rebuilt.node_count() == t.node_count()
-
-
-class TestJournalReaches:
-    def test_tracks_retention_without_copying(self):
-        from repro.trees.datatree import JOURNAL_LIMIT, DataTree
-
-        tree = DataTree("R")
-        start = tree.version
-        assert tree.journal_reaches(start)
-        tree.add_child(tree.root, "A")
-        # Agreement with mutations_since: reachable iff entries come back,
-        # and the suffix length is exactly the version delta.
-        assert tree.journal_reaches(start)
-        assert len(tree.mutations_since(start)) == tree.version - start
-        for _ in range(JOURNAL_LIMIT + 1):
-            tree.add_child(tree.root, "B")
-        assert not tree.journal_reaches(start)
-        assert tree.mutations_since(start) is None
-        recent = tree.version - 1
-        assert tree.journal_reaches(recent)
-        assert len(tree.mutations_since(recent)) == 1
-        assert not tree.journal_reaches(tree.version + 1)

@@ -5,6 +5,7 @@ import pytest
 from repro.trees.builders import tree
 from repro.trees.datatree import DataTree
 from repro.trees.index import TreeIndex, tree_index
+from repro.queries.plan import indexed_matches
 from repro.queries.treepattern import TreePattern, descendant_anywhere
 from repro.workloads.random_queries import random_matching_pattern
 from repro.workloads.random_trees import random_datatree
@@ -102,7 +103,7 @@ class TestQueriesAfterMutation:
     check the indexed matcher still agrees with the naive oracle."""
 
     def _check(self, document, pattern):
-        assert set(pattern.matches(document, matcher="indexed")) == set(
+        assert set(indexed_matches(pattern, document)) == set(
             pattern.matches(document, matcher="naive")
         )
 
@@ -137,10 +138,10 @@ class TestQueriesAfterMutation:
         """Sanity: the mutations above actually change the match sets."""
         document = tree("A", "B")
         pattern = descendant_anywhere("B")
-        assert len(pattern.matches(document, matcher="indexed")) == 1
+        assert len(indexed_matches(pattern, document)) == 1
         document.add_child(document.root, "B")
-        assert len(pattern.matches(document, matcher="indexed")) == 2
+        assert len(indexed_matches(pattern, document)) == 2
         for node in list(document.nodes()):
             if node != document.root:
                 document.delete_subtree(node)
-        assert pattern.matches(document, matcher="indexed") == []
+        assert indexed_matches(pattern, document) == []

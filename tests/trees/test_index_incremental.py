@@ -18,6 +18,7 @@ import random
 
 import pytest
 
+from repro.queries.plan import indexed_matches
 from repro.trees.datatree import JOURNAL_LIMIT, DataTree
 from repro.trees.index import PATCH_JOURNAL_LIMIT, TreeIndex, tree_index
 from repro.workloads.random_queries import random_matching_pattern
@@ -99,7 +100,7 @@ def test_indexed_matcher_agrees_with_naive_after_patching(seed):
     tree_index(tree)
     for _ in range(6):
         _mutate_once(tree, rng)
-        indexed = pattern.matches(tree, matcher="indexed")
+        indexed = indexed_matches(pattern, tree)
         naive = pattern.matches(tree, matcher="naive")
         assert len(indexed) == len(naive)
         assert set(indexed) == set(naive)

@@ -23,7 +23,7 @@ import random
 
 import pytest
 
-from repro.queries.plan import ColumnarPlan
+from repro.queries.plan import ColumnarPlan, indexed_matches
 from repro.queries.treepattern import TreePattern, child_chain
 from repro.trees.columnar import ColumnarTree, columnar_tree
 from repro.trees.datatree import DataTree
@@ -128,7 +128,7 @@ class TestColumnarStaleness:
         # And the rebuilt column answers correctly for the mutated tree.
         pattern = child_chain(["*", "Z"])
         assert ColumnarPlan(pattern, fresh).matches() == \
-            pattern.matches(document, matcher="indexed")
+            indexed_matches(pattern, document)
 
     def test_unmutated_column_is_cached_and_stays_fresh(self):
         document = random_datatree(50, seed=4)
@@ -146,4 +146,4 @@ class TestColumnarStaleness:
         loaded.require_fresh()  # never raises: nothing to be stale against
         pattern = child_chain(["*", "*"])
         assert ColumnarPlan(pattern, loaded).matches() == \
-            pattern.matches(document, matcher="indexed")
+            indexed_matches(pattern, document)

@@ -56,11 +56,21 @@ class TestProbTreeRoundTrip:
         with pytest.raises(InvalidTreeError):
             probtree_from_xml("<node label='A'/>")
 
-    def test_malformed_event_rejected(self):
+    @pytest.mark.parametrize(
+        "event", ["<event name='w1'/>", "<event name='w1' probability='x'/>"]
+    )
+    def test_malformed_event_rejected(self, event):
         with pytest.raises(InvalidTreeError):
             probtree_from_xml(
-                "<probtree><events><event name='w1'/></events><node label='A'/></probtree>"
+                f"<probtree><events>{event}</events><node label='A'/></probtree>"
             )
+
+
+@pytest.mark.parametrize("parse", [datatree_from_xml, probtree_from_xml])
+@pytest.mark.parametrize("text", ["<a><b></a>", "", "<node label='A'>", 42, None])
+def test_malformed_or_non_text_input_is_typed(parse, text):
+    with pytest.raises(InvalidTreeError):
+        parse(text)
 
     @given(small_probtrees())
     @settings(max_examples=30, deadline=None)
