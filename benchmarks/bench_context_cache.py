@@ -12,25 +12,42 @@ repeated query skips matching entirely.  This benchmark measures that:
 * **warm** — every pass shares one context, so passes after the first serve
   node sets (and memoized condition prices) from the caches.
 
-It also times the default fast-path matcher against the two fixed choices
-it replaced as the user-set options — the naive oracle and the indexed
-:class:`~repro.queries.plan.PatternPlan` — on the same patterns (the tree's
-version is bumped before every measured pass, so index builds are paid
-where they would be in a cold session) and verifies the default is never
-slower than the *worse* fixed choice.
+It also checks the matcher the default fast path picks, timing the matching
+step of each pattern (pricing is the same whatever matcher ran, so it would
+only dilute the comparison; the tree's version is bumped before every
+measured pass, so index and column maintenance is paid where a cold session
+would pay it):
+
+* **small documents** (30, 200 and 2000 nodes, below the columnar
+  threshold) — the default against the two fixed choices it replaced as
+  user-set options, the naive oracle and the indexed
+  :class:`~repro.queries.plan.PatternPlan`.  Here the default *is* the
+  indexed plan, so this row guards the dispatch overhead, not the choice;
+* **the size rule** — a document of ``2 * AUTO_COLUMNAR_NODES`` nodes, where
+  the default runs the columnar matcher, timed against ``PatternPlan`` and
+  :class:`~repro.queries.plan.ColumnarPlan` on two pattern families:
+  *selective* patterns ending in a rare label (the shape of the warehouse's
+  per-source and per-title questions) and the *match-heavy* patterns above
+  (thousands of matches each).  The row moves with the threshold, so a
+  threshold set too low lands it where the indexed plan is clearly faster.
 
 Emits one JSON object to stdout::
 
     PYTHONPATH=src python benchmarks/bench_context_cache.py
 
-Exit code 0 iff the warm speedup is at least 5x on every repeated-query row
-and the default matcher never loses to the worse fixed matcher (with a 15%
-timing-noise allowance).
+Exit code 0 iff the warm speedup is at least 5x on every repeated-query row,
+the default matcher never loses to the worse fixed matcher on the small
+documents, and (numpy present) the default is no slower than ``PatternPlan``
+on the selective family at ``2 * AUTO_COLUMNAR_NODES`` nodes — each with a
+15% timing-noise allowance.  The match-heavy family is reported, not gated:
+there the columnar matcher does not beat the indexed plan near the
+threshold.
 """
 
 from __future__ import annotations
 
 import json
+import random
 import sys
 import time
 from pathlib import Path
@@ -38,10 +55,11 @@ from pathlib import Path
 if __package__ is None and str(Path(__file__).resolve().parents[1] / "src") not in sys.path:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro.core.context import ExecutionContext
+from repro.core.context import AUTO_COLUMNAR_NODES, ExecutionContext
 from repro.queries.evaluation import evaluate_on_probtree
 from repro.queries.path import parse_path
-from repro.queries.plan import PatternPlan
+from repro.queries.plan import PatternPlan, columnar_matches
+from repro.trees.columnar import have_numpy
 from repro.trees.index import tree_index
 from repro.workloads.random_probtrees import random_probtree
 
@@ -57,6 +75,10 @@ QUERIES = [
     "//C/*",
     "//B//A",
 ]
+#: Patterns answered by a few hundred matches: every one ends in the rare
+#: label ``Q``.
+SELECTIVE_QUERIES = ["//Q", "//A/Q", "//B//Q", "/A/*/Q", "//C/D/Q", "//*//Q"]
+RARE_COUNT = 20
 
 
 def _workload(probtree, context) -> int:
@@ -116,23 +138,23 @@ def _repeated_query_rows() -> list:
 
 
 #: How each matcher runs one pattern: the default fast path (through the
-#: module default context) and the two fixed choices.
+#: module default context) and the fixed choices.
 MATCHERS = {
     "default": lambda pattern, tree: pattern.matches(tree),
     "naive": lambda pattern, tree: pattern.matches(tree, matcher="naive"),
     "indexed": lambda pattern, tree: PatternPlan(pattern, tree).matches(),
+    "columnar": columnar_matches,
 }
 
 
-def _time_matcher(probtree, matcher: str) -> float:
-    """Best-of timing of matching every workload pattern under one matcher.
+def _time_matcher(tree, queries, matcher: str) -> float:
+    """Best-of timing of matching every pattern of *queries* under one matcher.
 
     The tree's version is bumped before every measured pass, so each
-    matcher pays exactly the index builds it chooses to pay (this is what
-    makes naive competitive on tiny documents).
+    matcher pays exactly the index or column maintenance it chooses to pay
+    (this is what makes naive competitive on tiny documents).
     """
-    tree = probtree.tree
-    patterns = [parse_path(query) for query in QUERIES]
+    patterns = [parse_path(query) for query in queries]
     run = MATCHERS[matcher]
     best = float("inf")
     for _ in range(REPETITIONS):
@@ -154,9 +176,9 @@ def _default_rows() -> list:
             root_label="A",
             condition_probability=0.4,
         )
-        naive_s = _time_matcher(probtree, "naive")
-        indexed_s = _time_matcher(probtree, "indexed")
-        default_s = _time_matcher(probtree, "default")
+        naive_s = _time_matcher(probtree.tree, QUERIES, "naive")
+        indexed_s = _time_matcher(probtree.tree, QUERIES, "indexed")
+        default_s = _time_matcher(probtree.tree, QUERIES, "default")
         worse_s = max(naive_s, indexed_s)
         rows.append(
             {
@@ -171,12 +193,39 @@ def _default_rows() -> list:
     return rows
 
 
+def _size_rule_rows() -> list:
+    size = 2 * AUTO_COLUMNAR_NODES
+    tree = random_probtree(
+        node_count=size - RARE_COUNT,
+        event_count=12,
+        seed=size,
+        labels=tuple("ABCDEFGH"),
+        root_label="A",
+        condition_probability=0.4,
+    ).tree
+    for parent in random.Random(size).sample(list(tree.nodes()), RARE_COUNT):
+        tree.add_child(parent, "Q")
+    rows = []
+    for family, queries in (("selective", SELECTIVE_QUERIES), ("match_heavy", QUERIES)):
+        row = {"nodes": tree.node_count(), "family": family}
+        row["matches"] = sum(len(PatternPlan(parse_path(q), tree).matches()) for q in queries)
+        for matcher in ("indexed", "columnar", "default"):
+            row[f"{matcher}_ms"] = round(_time_matcher(tree, queries, matcher) * 1e3, 3)
+        row["default_vs_indexed"] = round(
+            row["default_ms"] / max(row["indexed_ms"], 1e-6), 2
+        )
+        rows.append(row)
+    return rows
+
+
 def run() -> dict:
     return {
         "benchmark": "ExecutionContext answer-set cache: cold vs warm, default matcher",
         "queries": QUERIES,
         "repeated_query": _repeated_query_rows(),
         "default_matcher": _default_rows(),
+        "numpy": have_numpy(),
+        "size_rule": _size_rule_rows(),
     }
 
 
@@ -188,7 +237,14 @@ def main() -> int:
     default_ok = all(
         row["default_vs_worse"] <= 1.15 for row in report["default_matcher"]
     )
-    return 0 if worst_speedup >= 5.0 and default_ok else 1
+    # Without numpy the default is the indexed plan at every size: no choice
+    # to check.
+    rule_ok = not report["numpy"] or all(
+        row["default_vs_indexed"] <= 1.15
+        for row in report["size_rule"]
+        if row["family"] == "selective"
+    )
+    return 0 if worst_speedup >= 5.0 and default_ok and rule_ok else 1
 
 
 if __name__ == "__main__":

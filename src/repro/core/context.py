@@ -493,7 +493,11 @@ class ExecutionContext:
 
         This is how per-call ``engine=`` / ``matcher=`` string overrides are
         realized: the returned context prices formulas with the same Shannon
-        tables and serves answers from the same answer-set cache.
+        tables and serves answers from the same answer-set cache.  ``None``
+        means "keep this context's mode", so an override can switch a
+        fast-path context to the ``"naive"`` oracle but not back: a naive
+        session reaches the fast path through a context built with
+        ``matcher=None`` (or, on a warehouse, ``warehouse.matcher = None``).
         """
         if engine is None and matcher is None:
             return self
@@ -1106,7 +1110,8 @@ def resolve_context(
 
     1. per-call string overrides (``engine=`` / ``matcher=``) always win —
        they produce a mode-override *view* of the chosen context, so caches
-       are still shared;
+       are still shared (``None`` keeps the context's mode, so a naive
+       context stays naive; see :meth:`ExecutionContext.with_modes`);
     2. an explicit per-call ``context=``;
     3. the module :func:`default_context`.
     """

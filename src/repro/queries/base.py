@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Sequence, Tuple
 
 from repro.trees.datatree import DataTree, NodeId
 from repro.trees.subdatatree import enumerate_sub_datatrees, is_sub_datatree
@@ -79,48 +79,37 @@ class Query(ABC):
     def matches(self, tree: DataTree) -> List[Match]:
         """All embeddings of the query into *tree*."""
 
-    def matches_with(
-        self, tree: DataTree, matcher: Optional[str] = None, context=None
-    ) -> List[Match]:
-        """Embeddings under *matcher* (``None`` fast path | ``"naive"`` oracle).
+    def matches_with(self, tree: DataTree, context=None) -> List[Match]:
+        """Embeddings under *context*'s matcher policy (fast path or oracle).
 
         Query classes with alternative matching strategies (notably
         :class:`~repro.queries.treepattern.TreePattern`) override this to
-        dispatch; the default ignores *matcher* and *context* so ad-hoc query
-        classes only have to implement :meth:`matches`.  Overrides of
-        :meth:`matches_with`, :meth:`results` and :meth:`result_node_sets`
-        must accept the ``context=`` keyword: the execution context passes
-        itself through it.
+        dispatch; the default ignores *context* so ad-hoc query classes only
+        have to implement :meth:`matches`.  Overrides of :meth:`matches_with`,
+        :meth:`results` and :meth:`result_node_sets` must accept the
+        ``context=`` keyword: the execution context passes itself through it.
         """
         return self.matches(tree)
 
-    def results(
-        self, tree: DataTree, matcher: Optional[str] = None, context=None
-    ) -> List[DataTree]:
+    def results(self, tree: DataTree, context=None) -> List[DataTree]:
         """The answer set ``Q(t)``: distinct sub-datatrees induced by matches."""
-        return [
-            tree.restrict(nodes)
-            for nodes in self.result_node_sets(tree, matcher, context=context)
-        ]
+        nodesets = self.result_node_sets(tree, context=context)
+        return [tree.restrict(nodes) for nodes in nodesets]
 
-    def result_node_sets(
-        self, tree: DataTree, matcher: Optional[str] = None, context=None
-    ) -> List[FrozenSet[NodeId]]:
+    def result_node_sets(self, tree: DataTree, context=None) -> List[FrozenSet[NodeId]]:
         """Node sets of the distinct answer sub-datatrees (cheaper than trees)."""
         seen: set = set()
         ordered: List[FrozenSet[NodeId]] = []
-        for match in self.matches_with(tree, matcher, context=context):
+        for match in self.matches_with(tree, context=context):
             nodes = match.answer_nodes(tree)
             if nodes not in seen:
                 seen.add(nodes)
                 ordered.append(nodes)
         return ordered
 
-    def selects(
-        self, tree: DataTree, matcher: Optional[str] = None, context=None
-    ) -> bool:
+    def selects(self, tree: DataTree, context=None) -> bool:
         """Whether the query has at least one match on *tree*."""
-        return bool(self.matches_with(tree, matcher, context=context))
+        return bool(self.matches_with(tree, context=context))
 
     def __call__(self, tree: DataTree) -> List[DataTree]:
         return self.results(tree)

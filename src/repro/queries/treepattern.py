@@ -191,10 +191,8 @@ class TreePattern(LocallyMonotoneQuery):
             return ColumnarPlan(self, columnar_tree(tree, ctx.stats)).matches()
         return PatternPlan(self, tree).matches()
 
-    def matches_with(
-        self, tree: DataTree, matcher: Optional[str] = None, context=None
-    ) -> List[Match]:
-        return self.matches(tree, matcher=matcher, context=context)
+    def matches_with(self, tree: DataTree, context=None) -> List[Match]:
+        return self.matches(tree, context=context)
 
     def matches_naive(self, tree: DataTree) -> List[Match]:
         """The reference backtracking matcher (the ``"naive"`` oracle)."""

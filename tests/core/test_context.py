@@ -88,6 +88,22 @@ class TestModeResolution:
         # 3. … and with nothing at all, the module default applies.
         assert resolve_context() is default_context()
 
+    def test_per_call_none_keeps_the_context_matcher(self):
+        """``matcher=None`` per call means "keep"; only a new context (or the
+        warehouse setter) turns a naive session back to the fast path."""
+        naive = ExecutionContext(matcher="naive")
+        assert resolve_context(naive, matcher=None) is naive
+        assert naive.with_modes(matcher=None).matcher == "naive"
+        warehouse = _catalog()
+        warehouse.matcher = "naive"
+        stats = warehouse.stats
+        fast_choices = stats.auto_chose_indexed + stats.auto_chose_columnar
+        warehouse.query("/catalog/movie", matcher=None)
+        assert stats.auto_chose_indexed + stats.auto_chose_columnar == fast_choices
+        warehouse.matcher = None
+        warehouse.query("/catalog/movie/title")
+        assert stats.auto_chose_indexed == fast_choices + 1
+
     def test_set_default_context_roundtrip(self):
         replacement = ExecutionContext(engine="enumerate")
         previous = set_default_context(replacement)

@@ -14,6 +14,7 @@ import random
 import pytest
 
 import repro.trees.columnar as columnar_module
+from repro.core.context import ExecutionContext
 from repro.queries.plan import ColumnarPlan, columnar_matches, indexed_matches
 from repro.queries.treepattern import (
     EDGE_DESCENDANT,
@@ -27,6 +28,8 @@ from repro.workloads.random_trees import random_datatree
 
 pytestmark = pytest.mark.differential
 
+NAIVE = ExecutionContext(matcher="naive")
+
 
 def _assert_columnar_agrees(pattern, tree):
     indexed = indexed_matches(pattern, tree)
@@ -38,9 +41,9 @@ def _assert_columnar_agrees(pattern, tree):
     assert len(naive) == len(columnar)
     assert set(naive) == set(columnar)
     assert {match.answer_nodes(tree) for match in columnar} == set(
-        pattern.result_node_sets(tree, matcher="naive")
+        pattern.result_node_sets(tree, context=NAIVE)
     )
-    assert bool(columnar) == pattern.selects(tree, matcher="naive")
+    assert bool(columnar) == pattern.selects(tree, context=NAIVE)
     return len(columnar)
 
 

@@ -49,9 +49,9 @@ class TestOnPWSets:
         original_results = type(query).results
 
         class CountingQuery(type(query)):
-            def results(self, data_tree, matcher=None, context=None):
+            def results(self, data_tree, context=None):
                 evaluations.append(data_tree)
-                return original_results(self, data_tree, matcher=matcher, context=context)
+                return original_results(self, data_tree, context=context)
 
         counting = CountingQuery("A")
         counting.add_child(counting.root, "B")

@@ -25,6 +25,8 @@ from repro.workloads.random_trees import random_datatree
 
 pytestmark = pytest.mark.differential
 
+NAIVE = ExecutionContext(matcher="naive")
+
 
 def _assert_matchers_agree(pattern, tree):
     naive = pattern.matches(tree, matcher="naive")
@@ -37,10 +39,10 @@ def _assert_matchers_agree(pattern, tree):
     # multiset identity.
     assert len(naive) == len(indexed) == len(fast)
     assert set(naive) == set(indexed) == set(fast)
-    assert set(pattern.result_node_sets(tree, matcher="naive")) == set(
+    assert set(pattern.result_node_sets(tree, context=NAIVE)) == set(
         pattern.result_node_sets(tree)
     )
-    assert pattern.selects(tree, matcher="naive") == pattern.selects(tree)
+    assert pattern.selects(tree, context=NAIVE) == pattern.selects(tree)
     return len(naive)
 
 

@@ -65,13 +65,6 @@ class TestProbTreeRoundTrip:
                 f"<probtree><events>{event}</events><node label='A'/></probtree>"
             )
 
-
-@pytest.mark.parametrize("parse", [datatree_from_xml, probtree_from_xml])
-@pytest.mark.parametrize("text", ["<a><b></a>", "", "<node label='A'>", 42, None])
-def test_malformed_or_non_text_input_is_typed(parse, text):
-    with pytest.raises(InvalidTreeError):
-        parse(text)
-
     @given(small_probtrees())
     @settings(max_examples=30, deadline=None)
     def test_round_trip_preserves_semantics(self, probtree):
@@ -82,3 +75,10 @@ def test_malformed_or_non_text_input_is_typed(parse, text):
         assert rebuilt.distribution.as_dict() == pytest.approx(
             probtree.distribution.as_dict()
         )
+
+
+@pytest.mark.parametrize("parse", [datatree_from_xml, probtree_from_xml])
+@pytest.mark.parametrize("text", ["<a><b></a>", "", "<node label='A'>", 42, None])
+def test_malformed_or_non_text_input_is_typed(parse, text):
+    with pytest.raises(InvalidTreeError):
+        parse(text)
